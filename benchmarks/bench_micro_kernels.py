@@ -11,6 +11,8 @@ Rough expectations on commodity hardware:
 * STFT of the same signal: a few ms.
 """
 
+import time
+
 import numpy as np
 import pytest
 
@@ -54,10 +56,15 @@ def test_kernel_tdeb(benchmark, acc_like_pair):
 
 def test_kernel_dwm_full_sync(benchmark, acc_like_pair):
     a, b = acc_like_pair
+    t0 = time.perf_counter()
     sync = benchmark(DwmSynchronizer(UM3_DWM_PARAMS).synchronize, a, b)
+    elapsed_s = time.perf_counter() - t0
     assert sync.n_indexes > 30
-    # Real-time requirement: well under the 80 s of signal.
-    assert benchmark.stats["mean"] < 8.0
+    # Real-time requirement: well under the 80 s of signal.  Under
+    # --benchmark-disable there are no stats and the benchmark fixture
+    # made exactly one call, so that call's own timing stands in.
+    mean_s = elapsed_s if benchmark.stats is None else benchmark.stats["mean"]
+    assert mean_s < 8.0
 
 
 def test_kernel_stft(benchmark, acc_like_pair):

@@ -2,9 +2,9 @@
 
 NSYNC is designed for *real-time* operation (the reason DWM exists — DTW
 needs the whole signal).  This example trains thresholds offline, then
-replays a firmware-compromised print chunk by chunk through
-``StreamingNsyncIds``, exactly as a DAQ would deliver samples, and reports
-the moment the IDS would have halted the machine.
+replays a firmware-compromised print chunk by chunk through the detection
+engine ``NsyncIds.engine()`` opens, exactly as a DAQ would deliver samples,
+and reports the moment the IDS would have halted the machine.
 
 Run:  python examples/streaming_ids.py
 """
@@ -16,7 +16,6 @@ from repro import (
     Firmware,
     NsyncIds,
     PrintJob,
-    StreamingNsyncIds,
     TimeNoiseModel,
     ULTIMAKER3,
     UM3_DWM_PARAMS,
@@ -44,15 +43,15 @@ def main() -> None:
 
     # Offline: reference + threshold training on benign prints.
     reference = acc_of(simulate_print(job.program, ULTIMAKER3, noise, seed=0), 0)
-    batch_ids = NsyncIds(reference, DwmSynchronizer(UM3_DWM_PARAMS))
-    batch_ids.fit(
+    ids = NsyncIds(reference, DwmSynchronizer(UM3_DWM_PARAMS))
+    ids.fit(
         [
             acc_of(simulate_print(job.program, ULTIMAKER3, noise, seed=s), s)
             for s in range(1, 9)
         ],
         r=0.3,
     )
-    print(f"trained thresholds: {batch_ids.thresholds}")
+    print(f"trained thresholds: {ids.thresholds}")
 
     # The attack: compromised FIRMWARE silently slows every move by 10%.
     # The G-code sent to the printer is 100% benign.
@@ -64,10 +63,8 @@ def main() -> None:
     print(f"\nmalicious print started ({malicious_acc.duration:.0f} s of "
           "signal, arriving in chunks)...")
 
-    # Online: feed the stream, stop at the first alert.
-    stream = StreamingNsyncIds(
-        reference, UM3_DWM_PARAMS, batch_ids.thresholds
-    )
+    # Online: one armed engine per print; stop at the first alert.
+    stream = ids.engine()
     for start in range(0, malicious_acc.n_samples, CHUNK):
         alerts = stream.push(malicious_acc.data[start : start + CHUNK])
         if alerts:
@@ -88,7 +85,7 @@ def main() -> None:
 
     # Contrast: a benign stream passes untouched.
     benign_acc = acc_of(simulate_print(job.program, ULTIMAKER3, noise, seed=300), 300)
-    stream = StreamingNsyncIds(reference, UM3_DWM_PARAMS, batch_ids.thresholds)
+    stream = ids.engine()
     for start in range(0, benign_acc.n_samples, CHUNK):
         if stream.push(benign_acc.data[start : start + CHUNK]):
             print("\nbenign print raised a false alarm!")

@@ -50,7 +50,6 @@ from .core import (
     OneClassTrainer,
     SENSOR_FAULT,
     SanitizePolicy,
-    StreamingNsyncIds,
     Thresholds,
 )
 from .printer import (
@@ -107,7 +106,6 @@ __all__ = [
     "OneClassTrainer",
     "SENSOR_FAULT",
     "SanitizePolicy",
-    "StreamingNsyncIds",
     "Thresholds",
     "Firmware",
     "GcodeProgram",

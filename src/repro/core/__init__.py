@@ -1,4 +1,4 @@
-"""NSYNC core: comparator, discriminator, OCC training, IDS pipelines."""
+"""NSYNC core: comparator, discriminator, OCC training, detection engine."""
 
 from .comparator import Comparator, vertical_distances
 from .discriminator import (
@@ -20,12 +20,12 @@ from .health import (
     ChannelHealth,
     Sanitized,
     SanitizePolicy,
+    Sanitizer,
     constant_runs,
     sanitize_signal,
 )
 from .occ import OneClassTrainer, occ_threshold
-from .pipeline import AnalysisResult, NsyncIds
-from .streaming import StreamingNsyncIds
+from .pipeline import NsyncIds
 from .fusion import FusionDetection, MultiChannelNsyncIds
 
 __all__ = [
@@ -44,14 +44,13 @@ __all__ = [
     "ChannelHealth",
     "Sanitized",
     "SanitizePolicy",
+    "Sanitizer",
     "constant_runs",
     "sanitize_signal",
     "OneClassTrainer",
     "occ_threshold",
-    "AnalysisResult",
     "NsyncIds",
     "Alert",
-    "StreamingNsyncIds",
     "FusionDetection",
     "MultiChannelNsyncIds",
 ]

@@ -1,4 +1,4 @@
-"""The unified NSYNC detection core: one incremental engine, two facades.
+"""The unified NSYNC detection core: one incremental engine.
 
 The paper's IDS (Section VII, Fig. 7) is a single algorithm; this module is
 its single implementation.  :class:`DetectionEngine` consumes the observed
@@ -8,9 +8,10 @@ chunk::
         chunk ──> sanitize ──> synchronize ──> compare ──> discriminate
                   (health)      (SyncCursor)   (v_dist)    (alerts)
 
-* **sanitize** — repair non-finite samples (forward fill with cross-chunk
-  seeds), track dark-channel runs on the raw data, and arm the fail-closed
-  SENSOR_FAULT verdict (:mod:`repro.core.health` semantics).
+* **sanitize** — a :class:`~repro.core.health.Sanitizer` repairs
+  non-finite samples (forward fill with cross-chunk seeds) and tracks
+  dark-channel runs on the raw data; the engine raises the fail-closed
+  SENSOR_FAULT verdict at the sample the first run goes dark.
 * **synchronize** — feed the clean samples to a
   :class:`~repro.sync.base.SyncCursor`.  DWM streams natively; batch
   synchronizers (DTW/FastDTW) ride behind
@@ -24,10 +25,11 @@ chunk::
 :meth:`DetectionEngine.finalize` flushes the cursor, applies the
 end-of-run checks (duration, non-finite fraction), and assembles the
 :class:`EngineResult`.  The batch :class:`~repro.core.pipeline.NsyncIds`
-is "push the whole signal as one chunk, then finalize"; the streaming
-:class:`~repro.core.streaming.StreamingNsyncIds` is "push chunks as the
-DAQ delivers them" — batch/streaming parity is structural, not
-test-enforced, because there is only one code path.
+is "push the whole signal as one chunk, then finalize"; real-time use is
+"push chunks as the DAQ delivers them" into the engine
+:meth:`~repro.core.pipeline.NsyncIds.engine` returns — batch/streaming
+parity is structural, not test-enforced, because there is only one code
+path.
 
 All cross-chunk carry lives in :class:`DetectorState` (schema-versioned,
 JSON-safe via ``to_dict``/``from_dict``), which is what makes
@@ -38,7 +40,7 @@ to an uninterrupted one.
 This module is also the only emitter of the detection provenance events
 (``window_evidence``, ``window_quarantined``, ``window_truncated``,
 ``alarm``, ``sensor_fault``, ``run_summary``) — exactly one emission site
-per type, shared by both facades.
+per type, whichever way the engine is driven.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ from .discriminator import (
     Discriminator,
     Thresholds,
 )
-from .health import SENSOR_FAULT, ChannelHealth, SanitizePolicy
+from .health import SENSOR_FAULT, ChannelHealth, SanitizePolicy, Sanitizer
 
 __all__ = [
     "Alert",
@@ -130,25 +132,6 @@ class Alert:
             threshold=float(doc["threshold"]),  # type: ignore[arg-type]
             time_s=float(doc["time_s"]),  # type: ignore[arg-type]
         )
-
-
-def _encode_optional_floats(row: np.ndarray) -> List[Optional[float]]:
-    """Per-entry float list with ``None`` standing in for NaN/inf.
-
-    Strict JSON has no NaN literal; the only non-finite carry in the
-    engine is the raw previous sample (used for dark-run continuation,
-    where any non-finite value behaves identically), so the encoding is
-    lossless for detection behaviour.
-    """
-    return [float(v) if math.isfinite(float(v)) else None for v in row]
-
-
-def _decode_optional_floats(values: Sequence[Optional[float]]) -> np.ndarray:
-    """Inverse of :func:`_encode_optional_floats` (``None`` becomes NaN)."""
-    return np.asarray(
-        [float("nan") if v is None else float(v) for v in values],
-        dtype=np.float64,
-    )
 
 
 #: Sections a serialized ``DetectorState`` must carry, with the expected
@@ -332,7 +315,7 @@ def _finite(value: float) -> Optional[float]:
 
 
 class DetectionEngine:
-    """Chunk-incremental NSYNC core shared by the batch and streaming IDS.
+    """Chunk-incremental NSYNC core behind batch and real-time detection.
 
     Parameters
     ----------
@@ -391,7 +374,6 @@ class DetectionEngine:
         n_ch = reference.n_channels
         self._rate = float(reference.sample_rate)
         self._n_channels = int(n_ch)
-        self._min_dark = self.policy.min_dark_samples(self._rate)
         self.stream_id = stream_id
         self._health_row: Union[
             telemetry.StreamHealth, telemetry.NullStreamHealth
@@ -404,26 +386,12 @@ class DetectionEngine:
         # Preallocated tail buffers (amortized O(chunk) appends, logical
         # prefix trims) shared by the sanitize and compare stages; both
         # address samples by absolute stream index.
-        self._samples_seen = 0
         self._ring = SampleRing(n_ch)
         self._bad_ring = SampleRing(None, dtype=bool)
         self._finalized = False
-        # --- sanitize carry (see repro.core.health) ---
-        self._last_good = np.zeros(n_ch)
-        self._have_good = np.zeros(n_ch, dtype=bool)
-        self._prev_raw: Optional[np.ndarray] = None
-        # True when the carried previous raw row has a non-finite entry;
-        # lets the dark-run tracker skip the errstate-guarded path on the
-        # (overwhelmingly common) all-finite chunks.
-        self._prev_raw_bad = False
-        self._n_nonfinite = 0
-        self._run_start = np.zeros(n_ch, dtype=np.int64)
-        # Scalar lower bound of _run_start (= the oldest open run): lets
-        # the per-push fast path decide "no channel can close a dark span
-        # here" with one int compare instead of a numpy reduction.
-        self._run_start_min = 0
-        self._longest_dark = 0
-        self._dark_spans: List[Tuple[int, int]] = []
+        # --- sanitize stage (counts samples; see repro.core.health) ---
+        self._sanitizer = Sanitizer(n_ch, self._rate, self.policy)
+        # --- fail-closed sensor-fault state ---
         self._fault_fired = False
         self._fault_reasons: List[str] = []
         self._fault_window: Optional[int] = None
@@ -472,7 +440,7 @@ class DetectionEngine:
         client that re-feeds the stream from exactly this sample after a
         :meth:`restore` reproduces the uninterrupted run bit-identically.
         """
-        return self._samples_seen
+        return self._sanitizer.n_samples
 
     @property
     def n_quarantined(self) -> int:
@@ -509,10 +477,11 @@ class DetectionEngine:
             # at DAQ chunk sizes those null shims alone cost measurable
             # throughput (asserted < 3% overhead by
             # benchmarks/bench_engine_throughput.py).
-            clean, bad_rows = self._stage_sanitize(samples)
+            clean, bad_rows, self._pending_fault = self._sanitizer.push(
+                samples
+            )
             self._ring.append(clean)
             self._bad_ring.append(bad_rows)
-            self._samples_seen += samples.shape[0]
             emitted = self._cursor.push(clean)
             new_alerts = self._ingest(emitted, v_pre=None)
             self._trim()
@@ -520,10 +489,11 @@ class DetectionEngine:
         t0 = time.perf_counter()
         with obs.trace("repro.core.engine.push"):
             with obs.trace("sanitize"):
-                clean, bad_rows = self._stage_sanitize(samples)
+                clean, bad_rows, self._pending_fault = (
+                    self._sanitizer.push(samples)
+                )
             self._ring.append(clean)
             self._bad_ring.append(bad_rows)
-            self._samples_seen += samples.shape[0]
             with obs.trace("synchronize"):
                 emitted = self._cursor.push(clean)
             new_alerts = self._ingest(emitted, v_pre=None)
@@ -565,7 +535,7 @@ class DetectionEngine:
                     )
             self._ingest(emitted, v_pre=v_pre)
             self._check_fraction_rule()
-            health = self._final_health()
+            health = self._sanitizer.health(self._fault_reasons)
             features = DetectionFeatures(
                 c_disp=np.asarray(self._c_hist, dtype=np.float64),
                 h_dist_filtered=np.asarray(self._h_f, dtype=np.float64),
@@ -625,17 +595,8 @@ class DetectionEngine:
         list; usable mid-stream and identical to the final
         ``Detection.health`` payload once the run is finalized.
         """
-        total = self._samples_seen
         return {
-            "n_samples": int(total),
-            "n_nonfinite": int(self._n_nonfinite),
-            "bad_fraction": (
-                float(self._n_nonfinite / total) if total else 0.0
-            ),
-            "dark_spans": [[int(a), int(b)] for a, b in self._current_spans()],
-            "longest_dark_s": float(self._longest_dark / self._rate),
-            "sensor_fault": bool(self._fault_fired),
-            "reasons": list(self._fault_reasons),
+            **self._sanitizer.health(self._fault_reasons).to_dict(),
             "quarantined_windows": list(self._quarantined),
         }
 
@@ -652,11 +613,6 @@ class DetectionEngine:
         """
         if self._finalized:
             raise RuntimeError("cannot snapshot a finalized engine")
-        prev_raw = (
-            None
-            if self._prev_raw is None
-            else _encode_optional_floats(self._prev_raw)
-        )
         return DetectorState(
             config={
                 "n_channels": self._n_channels,
@@ -666,19 +622,13 @@ class DetectionEngine:
             progress={
                 # One C-level tolist() per array (not per-element Python
                 # loops): checkpointing happens mid-stream, on the clock.
-                "samples_seen": int(self._samples_seen),
+                "samples_seen": int(self._sanitizer.n_samples),
                 "buf_start": int(self._ring.start),
                 "buffer": self._ring.tail().tolist(),
                 "bad": self._bad_ring.tail().tolist(),
             },
             sanitize={
-                "last_good": [float(v) for v in self._last_good],
-                "have_good": [bool(b) for b in self._have_good],
-                "prev_raw": prev_raw,
-                "n_nonfinite": int(self._n_nonfinite),
-                "run_start": [int(v) for v in self._run_start],
-                "longest_dark": int(self._longest_dark),
-                "dark_spans": [[int(a), int(b)] for a, b in self._dark_spans],
+                **self._sanitizer.state_dict(),
                 "fault_fired": bool(self._fault_fired),
                 "fault_reasons": list(self._fault_reasons),
                 "fault_window": self._fault_window,
@@ -718,7 +668,6 @@ class DetectionEngine:
                     f"state has {cfg.get(key)!r}, engine has {want!r}"
                 )
         prog = state.progress
-        self._samples_seen = int(prog["samples_seen"])  # type: ignore[call-overload]
         buf_start = int(prog["buf_start"])  # type: ignore[call-overload]
         self._ring.load(
             np.asarray(prog["buffer"], dtype=np.float64), buf_start
@@ -726,22 +675,9 @@ class DetectionEngine:
         self._bad_ring.load(np.asarray(prog["bad"], dtype=bool), buf_start)
         self._finalized = False
         san = state.sanitize
-        self._last_good = np.asarray(san["last_good"], dtype=np.float64)
-        self._have_good = np.asarray(san["have_good"], dtype=bool)
-        raw = san["prev_raw"]
-        self._prev_raw = (
-            None if raw is None else _decode_optional_floats(raw)  # type: ignore[arg-type]
+        self._sanitizer.load_state_dict(
+            san, int(prog["samples_seen"])  # type: ignore[call-overload]
         )
-        self._prev_raw_bad = self._prev_raw is not None and not bool(
-            np.isfinite(self._prev_raw).all()
-        )
-        self._n_nonfinite = int(san["n_nonfinite"])  # type: ignore[call-overload]
-        self._run_start = np.asarray(san["run_start"], dtype=np.int64)
-        self._run_start_min = int(self._run_start.min())
-        self._longest_dark = int(san["longest_dark"])  # type: ignore[call-overload]
-        self._dark_spans = [
-            (int(a), int(b)) for a, b in san["dark_spans"]  # type: ignore[union-attr]
-        ]
         self._fault_fired = bool(san["fault_fired"])
         self._fault_reasons = [str(r) for r in san["fault_reasons"]]  # type: ignore[union-attr]
         fw = san["fault_window"]
@@ -761,171 +697,24 @@ class DetectionEngine:
         self._fired = set(state.fired)
 
     # ------------------------------------------------------------------
-    # Stage 1: sanitize
+    # Stage 1: sanitize (the Sanitizer runs it; the engine fails closed)
     # ------------------------------------------------------------------
-    def _stage_sanitize(
-        self, raw: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Repair one chunk; returns ``(clean, bad_rows)``.
-
-        Mirrors :func:`repro.core.health.sanitize_signal` with all state
-        carried across chunk boundaries: the last finite value per channel
-        seeds the forward fill, and dark runs continue through chunk edges
-        so a disconnect spanning many small chunks is still one long run.
-        """
-        n = raw.shape[0]
-        bad = ~np.isfinite(raw)
-        bad_rows: np.ndarray = bad.any(axis=1)
-        has_bad = bool(bad_rows.any())
-        if has_bad:
-            self._n_nonfinite += int(np.count_nonzero(bad_rows))
-        self._track_dark_runs(raw, bad, has_bad)
-
-        if not has_bad:
-            self._last_good = raw[-1].copy()
-            self._have_good[:] = True
-            return raw, bad_rows
-        # Forward fill, seeded by the last finite value seen in earlier
-        # chunks (0.0 when a channel has been broken since the start).
-        seed = np.where(self._have_good, self._last_good, 0.0)
-        ext = np.concatenate([seed[np.newaxis, :], raw], axis=0)
-        ext_bad = np.concatenate(
-            [np.zeros((1, raw.shape[1]), dtype=bool), bad], axis=0
-        )
-        idx = np.where(~ext_bad, np.arange(n + 1)[:, np.newaxis], 0)
-        np.maximum.accumulate(idx, axis=0, out=idx)
-        clean = np.take_along_axis(ext, idx, axis=0)[1:]
-        self._last_good = clean[-1].copy()
-        self._have_good |= (~bad).any(axis=0)
-        return clean, bad_rows
-
-    def _track_dark_runs(
-        self, raw: np.ndarray, bad: np.ndarray, has_bad: bool
-    ) -> None:
-        """Continue per-channel constant/non-finite runs through this chunk.
-
-        Works on the *raw* data (forward-filling first would turn every
-        NaN burst into a constant run and double-count it), records the
-        closed maximal runs that qualify as dark spans, and — when the
-        policy is armed — pins the exact absolute sample at which a run
-        first reaches the dark limit, so the fail-closed verdict fires at
-        the same sample no matter how the stream was chunked.
-        """
-        n = raw.shape[0]
-        offset = self._samples_seen
-        eps = self.policy.dark_eps
-        if has_bad or self._prev_raw_bad:
-            extend = np.zeros_like(bad)
-            if self._prev_raw is not None:
-                prev_bad = ~np.isfinite(self._prev_raw)
-                with np.errstate(invalid="ignore"):
-                    extend[0] = np.abs(raw[0] - self._prev_raw) <= eps
-                extend[0] |= bad[0] | prev_bad
-            if n > 1:
-                with np.errstate(invalid="ignore"):
-                    extend[1:] = np.abs(np.diff(raw, axis=0)) <= eps
-                extend[1:] |= bad[1:] | bad[:-1]
-        else:
-            # All-finite chunk with an all-finite carry: the non-finite
-            # terms above are identically False and the subtractions
-            # cannot trip the invalid-FP guard, so skip the errstate
-            # context managers and mask work entirely.
-            extend = np.empty_like(bad)
-            if self._prev_raw is not None:
-                extend[0] = np.abs(raw[0] - self._prev_raw) <= eps
-            else:
-                extend[0] = False
-            if n > 1:
-                extend[1:] = np.abs(np.diff(raw, axis=0)) <= eps
-        self._prev_raw_bad = has_bad and bool(bad[-1].any())
-        if not extend.any():
-            # Every run resets at every sample of this chunk: all run
-            # lengths are 1, so at most one span per channel can close
-            # (the carried run ending at this chunk's first sample), no
-            # dark-limit crossing is possible (the limit is >= 2), and
-            # the per-channel boundary scan below collapses to O(C).
-            # This is the steady-state path for healthy, textured input.
-            if offset - self._run_start_min >= self._min_dark:
-                carry0 = offset - self._run_start
-                for c in np.flatnonzero(carry0 >= self._min_dark):
-                    self._dark_spans.append(
-                        (int(self._run_start[c]), int(offset))
-                    )
-            self._run_start[:] = offset + n - 1
-            self._run_start_min = offset + n - 1
-            self._longest_dark = max(self._longest_dark, 1)
-            self._prev_raw = raw[-1].copy()
-            return
-        idx = np.arange(n)[:, np.newaxis]
-        carry = (offset - self._run_start).astype(np.int64)
-        reset = np.where(~extend, idx, -1)
-        np.maximum.accumulate(reset, axis=0, out=reset)
-        run = np.where(reset >= 0, idx - reset + 1, idx + 1 + carry)
-        # Close the maximal runs ending inside this chunk (span bookkeeping
-        # identical to health._run_bounds over the whole signal).
-        for c in range(raw.shape[1]):
-            bnd = np.flatnonzero(~extend[:, c])
-            if not bnd.size:
-                continue
-            starts = np.concatenate(
-                [[int(self._run_start[c])], offset + bnd[:-1]]
-            )
-            ends = offset + bnd
-            for k in np.flatnonzero(ends - starts >= self._min_dark):
-                self._dark_spans.append((int(starts[k]), int(ends[k])))
-            self._run_start[c] = int(offset + bnd[-1])
-        self._run_start_min = int(self._run_start.min())
-        if (
-            self.policy.enabled
-            and not self._fault_fired
-            and self._pending_fault is None
-        ):
-            hit = np.flatnonzero((run >= self._min_dark).any(axis=1))
-            if hit.size:
-                r = int(hit[0])
-                longest_at_t = max(
-                    self._longest_dark, int(run[: r + 1].max())
-                )
-                self._pending_fault = (offset + r + 1, longest_at_t)
-        self._longest_dark = max(self._longest_dark, int(run.max()))
-        self._prev_raw = raw[-1].copy()
-
-    def _current_spans(self) -> Tuple[Tuple[int, int], ...]:
-        """Dark spans so far: closed runs plus qualifying open runs."""
-        spans = list(self._dark_spans)
-        for c in range(self._n_channels):
-            start = int(self._run_start[c])
-            if self._samples_seen - start >= self._min_dark:
-                spans.append((start, self._samples_seen))
-        return tuple(sorted(set(spans)))
-
-    def _final_health(self) -> ChannelHealth:
-        """Freeze the sanitize stage's verdict for the whole run."""
-        n = self._samples_seen
-        return ChannelHealth(
-            n_samples=n,
-            n_nonfinite=self._n_nonfinite,
-            dark_spans=self._current_spans(),
-            longest_dark_s=self._longest_dark / self._rate if n else 0.0,
-            sensor_fault=self._fault_fired,
-            reasons=tuple(self._fault_reasons),
-        )
-
     def _check_fraction_rule(self) -> None:
         """End-of-run rule: too many non-finite samples overall.
 
         Evaluated at finalization (like the batch sanitizer always did) so
         the verdict depends on run totals, never on chunk boundaries.
         """
-        total = self._samples_seen
+        stage = self._sanitizer
+        total = stage.n_samples
         if not self.policy.enabled or not total:
             return
-        if self._n_nonfinite / total <= self.policy.max_bad_fraction:
+        if stage.n_nonfinite / total <= self.policy.max_bad_fraction:
             return
         if not self._fault_fired:
             sink: List[Alert] = []
             self._fire_sensor_fault(
-                sink, ("nonfinite_fraction",), total, self._longest_dark
+                sink, ("nonfinite_fraction",), total, stage.longest_dark
             )
             self._alerts.extend(sink)
         elif "nonfinite_fraction" not in self._fault_reasons:
@@ -1148,7 +937,7 @@ class DetectionEngine:
 
     def _quarantine_check(self, i: int, n_win: int, n_hop: int) -> None:
         """Flag an index whose input samples had to be repaired."""
-        if self._n_nonfinite == 0:
+        if self._sanitizer.n_nonfinite == 0:
             # Nothing was ever repaired, so no window can be quarantined;
             # skip the per-window mask scan on healthy streams.
             return
@@ -1200,13 +989,13 @@ class DetectionEngine:
         off the reference before the observation ended.
         """
         if sync.mode == "window":
-            n = self._samples_seen
+            n = self._sanitizer.n_samples
             n_obs = (
                 0 if n < sync.n_win else 1 + (n - sync.n_win) // sync.n_hop
             )
             n_ref = self.reference.n_windows(sync.n_win, sync.n_hop)
         else:
-            n_obs = self._samples_seen
+            n_obs = self._sanitizer.n_samples
             n_ref = self.reference.n_samples
         return float(max(abs(n_obs - n_ref), n_obs - sync.n_indexes))
 
@@ -1228,7 +1017,7 @@ class DetectionEngine:
                 "duration",
                 features.duration_mismatch,
                 t.d_c,
-                self._samples_seen / self._rate,
+                self._sanitizer.n_samples / self._rate,
             )
             self._alerts.append(alert)
             self._fired.add("duration")

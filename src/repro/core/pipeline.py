@@ -1,11 +1,13 @@
 """The NSYNC IDS pipeline (paper Section VII, Fig. 7) — batch facade.
 
 All detection math lives in :class:`repro.core.engine.DetectionEngine`;
-:class:`NsyncIds` is the batch calling convention over it: feed the whole
-observed signal as one chunk, finalize, return the result.  The streaming
-facade (:class:`repro.core.streaming.StreamingNsyncIds`) drives the same
-engine chunk by chunk, so batch/streaming parity is structural — there is
-only one implementation to agree with itself.
+:class:`NsyncIds` holds one IDS configuration (reference, synchronizer,
+metric, learned thresholds) and is the batch calling convention over the
+engine: feed the whole observed signal as one chunk, finalize, return the
+result.  Streaming callers take the engine itself from
+:meth:`NsyncIds.engine` and push chunks as the DAQ delivers them, so
+batch/streaming parity is structural — there is only one implementation
+to agree with itself.
 
 Typical usage::
 
@@ -14,45 +16,28 @@ Typical usage::
     verdict = ids.detect(observed_signal)
     if verdict.is_intrusion:
         stop_the_printer()
+
+    live = ids.engine()          # real time: one engine per print
+    for chunk in daq:
+        if live.push(chunk):     # alerts raised by this chunk
+            stop_the_printer()
+    live.finalize()
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional, Tuple, Union
-
-import numpy as np
+from typing import Iterable, Optional, Union
 
 from .. import obs
 from ..signals.signal import Signal
-from ..sync.base import SyncResult, Synchronizer
+from ..sync.base import Synchronizer
 from .comparator import Comparator, DistanceFn
-from .discriminator import Detection, DetectionFeatures, Thresholds
-from .engine import DetectionEngine, EngineResult, _finite  # noqa: F401  (re-export)
-from .health import ChannelHealth, SanitizePolicy
+from .discriminator import Detection, Thresholds
+from .engine import DetectionEngine, EngineResult
+from .health import SanitizePolicy
 from .occ import OneClassTrainer
 
-__all__ = ["AnalysisResult", "NsyncIds"]
-
-
-@dataclass(frozen=True)
-class AnalysisResult:
-    """Everything NSYNC derives from one observed signal."""
-
-    sync: SyncResult
-    v_dist: np.ndarray
-    features: DetectionFeatures
-    #: Channel-health verdict from the input-sanitization stage.
-    health: Optional[ChannelHealth] = None
-    #: Indexes of analysis windows whose input samples had to be repaired
-    #: (NaN/inf); their evidence comes from sanitized data and is flagged
-    #: via ``window_quarantined`` events.
-    quarantined_windows: Tuple[int, ...] = ()
-
-    @property
-    def duration_mismatch(self) -> float:
-        """Window-count deviation of the observed process vs the reference."""
-        return self.features.duration_mismatch
+__all__ = ["NsyncIds"]
 
 
 class NsyncIds:
@@ -102,9 +87,10 @@ class NsyncIds:
         """Open a fresh :class:`~repro.core.engine.DetectionEngine`.
 
         With ``armed=True`` (the default) the engine carries this IDS's
-        learned thresholds and raises alerts; this is the handle to use
-        for chunked ingestion (the CLI's ``detect --stream`` path) or for
-        checkpoint/resume via ``DetectorState``.  ``stream_id`` registers
+        learned thresholds and raises alerts; this is the real-time
+        detector: push chunks as the DAQ delivers them (the CLI's
+        ``detect --stream`` path), checkpoint/resume it via
+        ``DetectorState``.  ``stream_id`` registers
         the engine in the live telemetry registry (see
         :mod:`repro.obs.telemetry`).
         """
@@ -130,22 +116,16 @@ class NsyncIds:
             eng.push(observed.data)
             return eng.finalize()
 
-    def analyze(self, observed: Signal) -> AnalysisResult:
+    def analyze(self, observed: Signal) -> EngineResult:
         """Sanitize, synchronize, compare, and featurize one signal.
 
-        Degenerate input (NaN/inf samples) is repaired before any
+        Runs an unarmed engine, so the result carries no detection or
+        alerts.  Degenerate input (NaN/inf samples) is repaired before any
         detection math runs, so the returned evidence arrays are always
         finite; the affected windows are flagged as quarantined and the
         channel-health verdict rides along on the result.
         """
-        result = self._run(observed, armed=False)
-        return AnalysisResult(
-            sync=result.sync,
-            v_dist=result.v_dist,
-            features=result.features,
-            health=result.health,
-            quarantined_windows=result.quarantined_windows,
-        )
+        return self._run(observed, armed=False)
 
     def fit(self, benign_signals: Iterable[Signal], r: float = 0.3) -> Thresholds:
         """Learn the discriminator thresholds from benign runs (Eq. 23-28).
@@ -157,7 +137,7 @@ class NsyncIds:
         trainer = OneClassTrainer(r=r)
         for k, signal in enumerate(benign_signals):
             analysis = self.analyze(signal)
-            if analysis.health is not None and analysis.health.sensor_fault:
+            if analysis.health.sensor_fault:
                 raise ValueError(
                     f"training run {k} failed input sanitization "
                     f"({', '.join(analysis.health.reasons)}); refusing to "

@@ -4,8 +4,8 @@ The graceful-degradation contract of the IDS is behavioural, so it gets an
 executable check: simulate one printer, train the IDS on clean runs, then
 replay one benign probe through every :class:`~repro.faults.models.FaultModel`
 in the matrix — once through the batch :class:`~repro.core.pipeline.NsyncIds`
-and once chunk-by-chunk through
-:class:`~repro.core.streaming.StreamingNsyncIds` — and assert, per case:
+and once chunk-by-chunk through the armed
+:class:`~repro.core.engine.DetectionEngine` it opens — and assert, per case:
 
 1. **No unhandled exception.**  Degenerate input must degrade the verdict,
    never crash the detector.
@@ -28,9 +28,9 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..core.engine import DetectionEngine
 from ..core.health import SENSOR_FAULT, SanitizePolicy
 from ..core.pipeline import NsyncIds
-from ..core.streaming import StreamingNsyncIds
 from ..eval.dataset import PrinterSetup, default_setup
 from ..eval.engine import CampaignEngine, RunRequest
 from ..eval.reporting import format_table
@@ -249,7 +249,7 @@ def _run_batch_case(
 
 def _run_streaming_case(
     case: FaultCase,
-    detector: StreamingNsyncIds,
+    detector: DetectionEngine,
     probe: Signal,
     chunk_s: float,
     rng: np.random.Generator,
@@ -357,15 +357,8 @@ def run_fault_campaign(
             results.append(_run_batch_case(case, ids, probe, rng))
         if "streaming" in detectors:
             rng = np.random.default_rng([seed, index, 1])
-            streaming = StreamingNsyncIds(
-                reference,
-                setup.dwm_params,
-                thresholds,
-                filter_window=ids.filter_window,
-                policy=policy,
-            )
             results.append(
-                _run_streaming_case(case, streaming, probe, chunk_s, rng)
+                _run_streaming_case(case, ids.engine(), probe, chunk_s, rng)
             )
     return FaultCampaignResult(
         results=tuple(results),

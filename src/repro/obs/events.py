@@ -2,8 +2,8 @@
 
 Where :mod:`repro.obs.metrics` answers "how fast / how many", this module
 answers "**why did this alarm fire, and where in the print?**".  The
-detection stack (:class:`~repro.core.pipeline.NsyncIds`,
-:class:`~repro.core.streaming.StreamingNsyncIds`) emits one
+detection engine (:class:`~repro.core.engine.DetectionEngine`, also behind
+:class:`~repro.core.pipeline.NsyncIds`) emits one
 ``window_evidence`` event per analysis window — the paper's discriminator
 evidence: horizontal displacement, CADHD, and the filtered horizontal /
 vertical distances against their OCC thresholds — plus ``alarm`` and

@@ -31,21 +31,6 @@ __all__ = ["MachineTrace", "Firmware", "simulate_print"]
 
 CommandTransformer = Callable[[GcodeCommand], GcodeCommand]
 
-# Cached lazy import: the IIR thermal track uses scipy when available and
-# silently falls back to the recursive loop otherwise.
-_LFILTER = None
-
-
-def _get_lfilter():
-    global _LFILTER
-    if _LFILTER is None:
-        try:
-            from scipy.signal import lfilter
-        except ImportError:  # pragma: no cover - scipy is a hard dep in CI
-            lfilter = False
-        _LFILTER = lfilter
-    return _LFILTER
-
 
 @dataclass
 class MachineTrace:
@@ -734,12 +719,12 @@ class Firmware:
 
         The recursion ``out[i] = out[i-1] + alpha * (target[i] - out[i-1])``
         is a one-pole IIR filter, evaluated in C via ``scipy.signal.lfilter``
-        (with the ambient temperature as the initial condition).  Falls back
-        to the explicit loop when scipy is unavailable.
+        (with the ambient temperature as the initial condition).
         """
-        lfilter = _get_lfilter()
-        if lfilter is False:
-            return self._thermal_track_loop(times, events, tau)
+        # Imported here, not at module load: scipy.signal is slow to import
+        # and only the thermal track needs it.
+        from scipy.signal import lfilter
+
         with obs.trace("thermal"):
             target = self._step_track(times, events)
             out = np.empty_like(target)

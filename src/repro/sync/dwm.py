@@ -20,7 +20,7 @@ detection, and the default parameter sets of Table IV.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from ..signals.metrics import correlation_similarity
 from ..signals.ringbuffer import SampleRing
 from ..signals.signal import Signal
 from .base import SyncResult
-from .tde import correlation_profile, tdeb
+from .tde import similarity_profile
 
 __all__ = [
     "DwmParams",
@@ -101,7 +101,7 @@ RM3_DWM_PARAMS = DwmParams(t_win=1.0, t_hop=0.5, t_ext=0.1, t_sigma=0.05, eta=0.
 
 
 class _DwmState:
-    """Mutable per-run DWM state shared by the batch and streaming APIs."""
+    """Mutable per-run DWM state of one synchronization."""
 
     __slots__ = ("h_disp", "h_disp_low", "scores", "i")
 
@@ -110,63 +110,6 @@ class _DwmState:
         self.scores: List[float] = []
         self.h_disp_low = 0  # h_disp_low[i - 1]; starts at the defined 0
         self.i = 0
-
-
-def _dwm_step(
-    state: _DwmState,
-    a_window: np.ndarray,
-    b: Signal,
-    n_hop: int,
-    n_ext: int,
-    n_sigma: float,
-    eta: float,
-    similarity: SimilarityFn,
-) -> bool:
-    """Run one DWM iteration (algorithm lines 8-11).
-
-    Returns ``False`` when the reference signal cannot supply a full search
-    window anymore (the run has outlived the reference), in which case no
-    displacement is recorded and the caller should stop.
-    """
-    i = state.i
-    low = state.h_disp_low
-    n_win = a_window.shape[0]
-
-    # Extended reference window b{i; low}_E (Eq. 9 with the low-frequency
-    # recentre of Eq. 13).  The requested range may poke past either end of
-    # b; we clip and keep the actual start so delays map back correctly.
-    want_start = i * n_hop - n_ext + low
-    want_stop = i * n_hop + n_ext + low + n_win
-    start = max(0, want_start)
-    stop = min(b.n_samples, want_stop)
-    segment = b.data[start:stop, :]
-    if segment.shape[0] < n_win:
-        return False
-
-    # The bias must be centred where "no displacement change" lands in the
-    # clipped segment: absolute sample i*n_hop + low, i.e. local index
-    # (i*n_hop + low) - start.
-    raw_centre = i * n_hop + low - start
-    centre = min(max(raw_centre, 0), segment.shape[0] - n_win)
-    with obs.trace("repro.sync.dwm.window"):
-        result = tdeb(segment, a_window, sigma=n_sigma,
-                      similarity=similarity, centre=centre)
-    if obs.enabled():
-        obs.counter("repro.sync.dwm.windows").inc()
-        if centre != raw_centre:
-            # The displacement estimate drifted far enough that the bias
-            # centre had to be clamped into the clipped search segment —
-            # the precursor of the synchronizer walking off the reference.
-            obs.counter("repro.sync.dwm.centre_clamped").inc()
-
-    # delta is (j - n_ext) of the paper, generalised for clipping: how far
-    # the match moved from the expected position.
-    delta = (start + result.delay) - (i * n_hop + low)
-    state.h_disp.append(low + delta)
-    state.scores.append(result.score)
-    state.h_disp_low = int(round(eta * delta + low))
-    state.i += 1
-    return True
 
 
 class DwmSynchronizer:
@@ -233,23 +176,10 @@ class StreamingDwm:
         reference: Signal,
         params: DwmParams,
         similarity: SimilarityFn = correlation_similarity,
-        *,
-        use_fast: Optional[bool] = None,
     ) -> None:
         self.reference = reference
         self.params = params
         self.similarity = similarity
-        # Per-step path selection is normally automatic (fast when the
-        # default similarity runs with observability off).  ``use_fast``
-        # pins one path; the differential harness (repro.eval.diff) uses
-        # it to run a fast and a reference cursor in lock-step over the
-        # same stream.  ``use_fast=True`` requires the default correlation
-        # similarity — _step_fast inlines exactly that metric.
-        if use_fast and similarity is not correlation_similarity:
-            raise ValueError(
-                "use_fast=True requires the default correlation similarity"
-            )
-        self._use_fast = use_fast
         rate = reference.sample_rate
         self.mode = "window"
         self.n_win = params.n_win(rate)
@@ -269,6 +199,9 @@ class StreamingDwm:
         # away from the reference edges; caching them removes an exp() of
         # search-window length per window.
         self._bias_cache: Dict[Tuple[int, int], np.ndarray] = {}
+        # Windows whose bias centre had to be clamped into the clipped
+        # search segment (reported as a counter when tracing is on).
+        self._n_clamped = 0
 
     @property
     def n_windows_done(self) -> int:
@@ -294,17 +227,11 @@ class StreamingDwm:
 
         # The h_disp_low recurrence makes window i+1's search centre depend
         # on window i's result, so the windows themselves are inherently
-        # sequential; the batching win is that every newly-complete window
-        # in this push is evaluated on zero-copy ring views through the
-        # direct fast step (cached bias, no per-window tracing shims)
-        # instead of one fully-wrapped tdeb call per window.
-        if self._use_fast is None:
-            fast = (
-                self.similarity is correlation_similarity
-                and not obs.enabled()
-            )
-        else:
-            fast = self._use_fast
+        # sequential; every newly-complete window in this push is stepped
+        # on a zero-copy ring view.  Tracing is decided once per push, so
+        # with observability off the loop never touches the obs layer.
+        traced = obs.enabled()
+        clamped_before = self._n_clamped
         emitted: List[Tuple[int, float]] = []
         while True:
             i = self._state.i
@@ -312,23 +239,24 @@ class StreamingDwm:
             if start + self.n_win > self._ring.end:
                 break
             a_window = self._ring.view(start, start + self.n_win)
-            if fast:
-                ok = self._step_fast(a_window)
+            if traced:
+                with obs.trace("repro.sync.dwm.window"):
+                    ok = self._step(a_window)
             else:
-                ok = _dwm_step(
-                    self._state,
-                    a_window,
-                    self.reference,
-                    self.n_hop,
-                    self._n_ext,
-                    self._n_sigma,
-                    self.params.eta,
-                    self.similarity,
-                )
+                ok = self._step(a_window)
             if not ok:
                 self._exhausted = True
                 break
             emitted.append((i, float(self._state.h_disp[-1])))
+        if traced and emitted:
+            obs.counter("repro.sync.dwm.windows").inc(len(emitted))
+            if self._n_clamped != clamped_before:
+                # The displacement estimate drifted far enough that the
+                # bias centre was clamped into the clipped search segment:
+                # the precursor of walking off the reference.
+                obs.counter("repro.sync.dwm.centre_clamped").inc(
+                    self._n_clamped - clamped_before
+                )
         if self._exhausted:
             # Walked off the reference: no further window will ever be
             # evaluated, so the buffered tail is dead state.  Resetting the
@@ -344,20 +272,26 @@ class StreamingDwm:
             self._ring.trim_to(self._state.i * self.n_hop)
         return emitted
 
-    def _step_fast(self, a_window: np.ndarray) -> bool:
-        """One DWM iteration, inlined for the streaming hot path.
+    def _step(self, a_window: np.ndarray) -> bool:
+        """Run one DWM iteration (algorithm lines 8-11).
 
-        Replicates ``_dwm_step`` + :func:`~repro.sync.tde.tdeb` for the
-        default correlation similarity with observability disabled —
-        bit-identical math (differential-tested against the kept
-        ``_dwm_step`` reference), minus the per-window span/counter
-        machinery and with the Gaussian bias vector cached.
+        Biased TDE (:func:`~repro.sync.tde.tdeb`) of ``a_window`` inside
+        the extended reference window, with the Gaussian bias taken from
+        the cache; ``repro.eval.diff`` locks it bit-exactly to a
+        reference step that calls ``tdeb`` itself.  Returns ``False`` when
+        the reference cannot supply a full search window anymore (the run
+        has outlived the reference): no displacement is recorded and the
+        stream stops.
         """
         state = self._state
         i = state.i
         low = state.h_disp_low
         n_win = a_window.shape[0]
         b = self.reference
+        # Extended reference window b{i; low}_E (Eq. 9 with the
+        # low-frequency recentre of Eq. 13).  The requested range may poke
+        # past either end of b; clip it and keep the actual start so
+        # delays map back correctly.
         want_start = i * self.n_hop - self._n_ext + low
         want_stop = i * self.n_hop + self._n_ext + low + n_win
         start = max(0, want_start)
@@ -365,12 +299,19 @@ class StreamingDwm:
         segment = b.data[start:stop, :]
         if segment.shape[0] < n_win:
             return False
+        # The bias is centred where "no displacement change" lands in the
+        # clipped segment: absolute sample i*n_hop + low.
         raw_centre = i * self.n_hop + low - start
         centre = min(max(raw_centre, 0), segment.shape[0] - n_win)
-        raw = correlation_profile(segment, a_window)
+        self._n_clamped += centre != raw_centre
+        raw = similarity_profile(segment, a_window, self.similarity)
         bias = self._bias(raw.size, centre)
+        # Shift scores non-negative before the multiplicative bias (a
+        # negative score times a small Gaussian tail would *rise*).
         shifted = raw - raw.min()
         delay = int(np.argmax(shifted * bias))
+        # delta is (j - n_ext) of the paper, generalised for clipping: how
+        # far the match moved from the expected position.
         delta = (start + delay) - (i * self.n_hop + low)
         state.h_disp.append(low + delta)
         state.scores.append(float(raw[delay]))

@@ -23,7 +23,6 @@ from repro.core import (
     DetectionEngine,
     DetectorState,
     NsyncIds,
-    StreamingNsyncIds,
     Thresholds,
 )
 from repro.core.engine import STATE_SCHEMA, STATE_VERSION
@@ -163,13 +162,13 @@ class TestChunkingInvariance:
         assert ev_a == ev_b
 
     def test_facades_share_the_engine(self, reference):
-        """NsyncIds.detect == StreamingNsyncIds push+finalize, exactly."""
+        """NsyncIds.detect == its engine's chunked push+finalize, exactly."""
         observed = make_observed("corrupted")
         ids = NsyncIds(reference, DwmSynchronizer(PARAMS))
         ids.thresholds = STRICT
         verdict = ids.detect(Signal(observed, FS))
 
-        stream = StreamingNsyncIds(reference, PARAMS, STRICT)
+        stream = ids.engine()
         for start in range(0, observed.shape[0], 97):
             stream.push(observed[start : start + 97])
         result = stream.finalize()
@@ -251,14 +250,16 @@ class TestDetectorState:
 
     def test_streaming_facade_state_round_trip(self, reference):
         observed = make_observed("nan_burst")
-        a = StreamingNsyncIds(reference, PARAMS, STRICT)
+        ids = NsyncIds(reference, DwmSynchronizer(PARAMS))
+        ids.thresholds = STRICT
+        a = ids.engine()
         a.push(observed[:800])
         payload = json.dumps(a.state().to_dict())
-        b = StreamingNsyncIds(reference, PARAMS, STRICT)
+        b = ids.engine()
         b.restore(DetectorState.from_dict(json.loads(payload)))
         a.push(observed[800:])
         b.push(observed[800:])
-        assert a.health() == b.health()
+        assert a.health_dict() == b.health_dict()
         assert a.alerts == b.alerts
         for key in ("c_disp_curve", "h_dist_filtered", "v_dist_filtered"):
             assert np.array_equal(a.evidence()[key], b.evidence()[key])

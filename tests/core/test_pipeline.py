@@ -62,7 +62,8 @@ class TestNsyncIds:
         assert analysis.v_dist.shape == (n,)
         assert analysis.features.c_disp.shape == (n,)
         assert analysis.features.h_dist_filtered.shape == (n,)
-        assert analysis.duration_mismatch >= 0.0
+        assert analysis.features.duration_mismatch >= 0.0
+        assert analysis.detection is None and analysis.alerts == ()
 
     def test_duration_mismatch_counts_windows(self):
         ref = benign_run(0)
@@ -72,7 +73,7 @@ class TestNsyncIds:
         n_win = PARAMS.n_win(ref.sample_rate)
         n_hop = PARAMS.n_hop(ref.sample_rate)
         expected = ref.n_windows(n_win, n_hop) - short.n_windows(n_win, n_hop)
-        assert analysis.duration_mismatch == pytest.approx(expected)
+        assert analysis.features.duration_mismatch == pytest.approx(expected)
 
     def test_manual_thresholds_accepted(self):
         ids = NsyncIds(benign_run(0), DwmSynchronizer(PARAMS))

@@ -180,8 +180,8 @@ class TestSearch:
 
 
 def _plant_dwm_ulp(monkeypatch):
-    """Perturb _step_fast's accepted score by exactly one ulp."""
-    orig = StreamingDwm._step_fast
+    """Perturb the DWM step's accepted score by exactly one ulp."""
+    orig = StreamingDwm._step
 
     def mutated(self, a_window):
         ok = orig(self, a_window)
@@ -191,13 +191,13 @@ def _plant_dwm_ulp(monkeypatch):
             )
         return ok
 
-    monkeypatch.setattr(StreamingDwm, "_step_fast", mutated)
+    monkeypatch.setattr(StreamingDwm, "_step", mutated)
 
 
 class TestMutationSmoke:
     """Planted faults MUST be caught — the harness's own acceptance test."""
 
-    def test_one_ulp_step_fast_fault_is_caught(self, monkeypatch):
+    def test_one_ulp_step_fault_is_caught(self, monkeypatch):
         _plant_dwm_ulp(monkeypatch)
         report = diff_pair("dwm", seed=0, examples=25)
         assert not report.ok

@@ -8,7 +8,6 @@ from repro import (
     DwmSynchronizer,
     NsyncIds,
     PrintJob,
-    StreamingNsyncIds,
     TimeNoiseModel,
     ULTIMAKER3,
     UM3_DWM_PARAMS,
@@ -72,9 +71,7 @@ class TestFullPipeline:
         attacked = SpeedAttack(factor=0.9).apply(job)
         signal = acc_signal(attacked.program, 63)
 
-        stream = StreamingNsyncIds(
-            ids.reference, UM3_DWM_PARAMS, ids.thresholds
-        )
+        stream = ids.engine()
         for start in range(0, signal.n_samples, 1024):
             stream.push(signal.data[start : start + 1024])
         assert stream.intrusion_detected

@@ -11,6 +11,7 @@ from repro.sync import (
     StreamingDwm,
     UM3_DWM_PARAMS,
 )
+from repro.eval.diff import ReferenceDwm
 
 
 def chirpy_signal(n=4000, fs=100.0, seed=0):
@@ -180,22 +181,23 @@ class TestStreamingDwm:
 
 
 class TestFastPathDifferential:
-    """The hoisted fast step vs the instrumented reference step.
+    """``StreamingDwm`` vs the tdeb-based oracle of ``repro.eval.diff``.
 
-    With observability disabled the streaming cursor takes ``_step_fast``
-    (no span wrappers, cached Gaussian bias, direct correlation kernel);
-    with it enabled it takes the original ``_dwm_step``.  Both must emit
-    bit-identical displacements and scores — the fast path is an
-    *overhead* optimization, never a numerical one.
+    The cursor has one step for every similarity and every observability
+    setting: cached Gaussian bias, direct similarity profile, the window
+    span hoisted into ``push``.  :class:`~repro.eval.diff.ReferenceDwm`
+    steps the same algorithm through :func:`~repro.sync.tde.tdeb`.  Both
+    must emit bit-identical displacements and scores, with tracing off
+    and on — the hoisting is an *overhead* optimization, never a
+    numerical one.
     """
 
     PARAMS = DwmParams(t_win=1.0, t_hop=0.5, t_ext=0.5, t_sigma=0.25, eta=0.2)
 
     @staticmethod
-    def _run(obs_sig, ref, params, chunk, enable_obs):
+    def _run(cursor, obs_sig, chunk, enable_obs=False):
         from repro import obs as obs_mod
 
-        stream = StreamingDwm(ref, params)
         emitted = []
         was_enabled = obs_mod.enabled()
         if enable_obs:
@@ -203,30 +205,34 @@ class TestFastPathDifferential:
         try:
             for start in range(0, obs_sig.n_samples, chunk):
                 emitted.extend(
-                    stream.push(obs_sig.data[start : start + chunk])
+                    cursor.push(obs_sig.data[start : start + chunk])
                 )
         finally:
             if enable_obs and not was_enabled:
                 obs_mod.disable()
-        return emitted, stream.result()
+        return emitted, cursor.result()
 
     @pytest.mark.parametrize("shift", [0, 15, -20])
     @pytest.mark.parametrize("chunk", [1, 97, 4000])
     def test_fast_and_slow_paths_bit_identical(self, shift, chunk):
         obs_sig, ref = shifted_pair(shift=shift, n=2000)
         fast_emitted, fast = self._run(
-            obs_sig, ref, self.PARAMS, chunk, enable_obs=False
+            StreamingDwm(ref, self.PARAMS), obs_sig, chunk
+        )
+        traced_emitted, traced = self._run(
+            StreamingDwm(ref, self.PARAMS), obs_sig, chunk, enable_obs=True
         )
         slow_emitted, slow = self._run(
-            obs_sig, ref, self.PARAMS, chunk, enable_obs=True
+            ReferenceDwm(ref, self.PARAMS), obs_sig, chunk
         )
-        assert fast_emitted == slow_emitted
+        assert fast_emitted == slow_emitted == traced_emitted
         assert np.array_equal(fast.h_disp, slow.h_disp)
         assert np.array_equal(fast.scores, slow.scores)
+        assert np.array_equal(traced.scores, slow.scores)
 
     def test_fast_path_matches_drifting_stream(self):
         """A drifting (resampled) observed stream exercises non-trivial
-        search centres and clamping on both paths."""
+        search centres and clamping on both sides."""
         data = chirpy_signal(3000)
         drift = np.interp(
             np.linspace(0, data.size - 1, data.size) * 1.01,
@@ -235,15 +241,15 @@ class TestFastPathDifferential:
         )
         ref = Signal(data, 100.0)
         obs_sig = Signal(drift, 100.0)
-        _, fast = self._run(obs_sig, ref, self.PARAMS, 50, enable_obs=False)
-        _, slow = self._run(obs_sig, ref, self.PARAMS, 50, enable_obs=True)
+        _, fast = self._run(StreamingDwm(ref, self.PARAMS), obs_sig, 50)
+        _, slow = self._run(ReferenceDwm(ref, self.PARAMS), obs_sig, 50)
         assert np.array_equal(fast.h_disp, slow.h_disp)
         assert np.array_equal(fast.scores, slow.scores)
 
-    def test_custom_similarity_never_takes_fast_path(self):
-        """A non-correlation similarity must use the generic step even
-        with observability disabled (the fast kernel hard-codes
-        correlation)."""
+    def test_custom_similarity_runs_the_same_step(self):
+        """A non-correlation similarity goes through the same step (with
+        the generic sliding profile) and still matches the oracle
+        bit-exactly, and the default kernel's displacements."""
         from repro.signals.metrics import correlation_similarity
 
         def wrapped(x, y):
@@ -252,8 +258,34 @@ class TestFastPathDifferential:
         obs_sig, ref = shifted_pair(shift=10, n=1500)
         generic = StreamingDwm(ref, self.PARAMS, similarity=wrapped)
         generic.push(obs_sig.data)
-        fast = StreamingDwm(ref, self.PARAMS)
-        fast.push(obs_sig.data)
+        oracle = ReferenceDwm(ref, self.PARAMS, similarity=wrapped)
+        oracle.push(obs_sig.data)
+        default = StreamingDwm(ref, self.PARAMS)
+        default.push(obs_sig.data)
         assert np.array_equal(
-            generic.result().h_disp, fast.result().h_disp
+            generic.result().scores, oracle.result().scores
         )
+        assert np.array_equal(
+            generic.result().h_disp, default.result().h_disp
+        )
+
+    def test_window_span_and_counter_when_traced(self):
+        """With tracing on, every window is one ``repro.sync.dwm.window``
+        span and one ``repro.sync.dwm.windows`` count."""
+        from repro import obs as obs_mod
+
+        obs_sig, ref = shifted_pair(shift=5, n=1500)
+        obs_mod.reset()
+        obs_mod.enable()
+        try:
+            stream = StreamingDwm(ref, self.PARAMS)
+            for start in range(0, obs_sig.n_samples, 130):
+                stream.push(obs_sig.data[start : start + 130])
+            snapshot = obs_mod.snapshot()
+        finally:
+            obs_mod.disable()
+            obs_mod.reset()
+        n = stream.n_windows_done
+        assert n > 0
+        assert snapshot["spans"]["repro.sync.dwm.window"]["count"] == n
+        assert snapshot["counters"]["repro.sync.dwm.windows"] == n

@@ -440,7 +440,7 @@ class TestDiffCommand:
 
         from repro.sync.dwm import StreamingDwm
 
-        orig = StreamingDwm._step_fast
+        orig = StreamingDwm._step
 
         def mutated(self, a_window):
             ok = orig(self, a_window)
@@ -450,7 +450,7 @@ class TestDiffCommand:
                 )
             return ok
 
-        monkeypatch.setattr(StreamingDwm, "_step_fast", mutated)
+        monkeypatch.setattr(StreamingDwm, "_step", mutated)
         bundle_dir = tmp_path / "bundles"
         rc = main(
             ["diff", "--pair", "dwm", "--examples", "25",

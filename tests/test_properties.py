@@ -281,13 +281,7 @@ class TestGracefulDegradation:
     @settings(max_examples=15, deadline=None)
     def test_streaming_survives_any_fault(self, fault, seed):
         """The streaming detector holds the same contract chunk-by-chunk."""
-        from repro.core import StreamingNsyncIds
-
-        ids = _robustness_ids()
-        params = DwmParams(t_win=1.0, t_hop=0.5, t_ext=0.5, t_sigma=0.25, eta=0.2)
-        stream = StreamingNsyncIds(
-            ids.reference, params, ids.thresholds
-        )
+        stream = _robustness_ids().engine()
         data = textured(3000, 950)
         chunks = [data[i : i + 250] for i in range(0, data.size, 250)]
         rng = np.random.default_rng(seed)

@@ -43,7 +43,6 @@ class TestTopLevelNamespace:
             "Signal",
             "DwmSynchronizer",
             "NsyncIds",
-            "StreamingNsyncIds",
             "PrintJob",
             "TABLE_I_ATTACKS",
             "simulate_print",
@@ -55,38 +54,39 @@ class TestTopLevelNamespace:
             assert name in repro.__all__, name
 
     def test_legacy_detector_surface_still_imports(self):
-        """The pre-engine import paths and signatures keep working.
+        """The detector import paths and signatures keep working.
 
-        `NsyncIds`/`StreamingNsyncIds` became facades over
-        `repro.core.engine.DetectionEngine`; existing callers must not
-        notice (same modules, same constructor signatures, `Alert` and
-        `TRUNCATED_WINDOW_DISTANCE` still importable from
-        `repro.core.streaming`).
+        `NsyncIds` is the batch entry point over
+        `repro.core.engine.DetectionEngine` and opens the real-time engine
+        (`NsyncIds.engine()`); the removed streaming facade and
+        `AnalysisResult` must stay gone (`analyze` returns `EngineResult`).
         """
         import inspect
         import warnings
 
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            from repro.core.pipeline import AnalysisResult, NsyncIds
-            from repro.core.streaming import (
-                Alert,
-                StreamingNsyncIds,
-                TRUNCATED_WINDOW_DISTANCE,
-            )
+            from repro.core import TRUNCATED_WINDOW_DISTANCE
+            from repro.core.engine import Alert, EngineResult
+            from repro.core.pipeline import NsyncIds
 
         assert TRUNCATED_WINDOW_DISTANCE == 2.0
-        assert AnalysisResult is not None
         batch = inspect.signature(NsyncIds.__init__)
         assert list(batch.parameters) == [
             "self", "reference", "synchronizer", "metric",
             "filter_window", "policy",
         ]
-        stream = inspect.signature(StreamingNsyncIds.__init__)
-        assert list(stream.parameters) == [
-            "self", "reference", "params", "thresholds", "metric",
-            "filter_window", "policy",
-        ]
+        engine = inspect.signature(NsyncIds.engine)
+        assert list(engine.parameters) == ["self", "armed", "stream_id"]
+        assert inspect.signature(NsyncIds.analyze).return_annotation in (
+            EngineResult, "EngineResult",
+        )
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.core.streaming")
+        import repro.core
+
+        assert not hasattr(repro.core, "StreamingNsyncIds")
+        assert not hasattr(repro.core, "AnalysisResult")
         alert_fields = [
             f.name for f in __import__("dataclasses").fields(Alert)
         ]
@@ -106,7 +106,6 @@ class TestTopLevelNamespace:
             "repro.sync.tde",
             "repro.core.engine",
             "repro.core.pipeline",
-            "repro.core.streaming",
             "repro.core.discriminator",
             "repro.core.health",
             "repro.faults.models",
