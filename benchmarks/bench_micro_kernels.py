@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.attacks import PrintJob
+from repro.eval.diff import ReferenceFirmware
 from repro.printer import TimeNoiseModel, ULTIMAKER3
 from repro.printer.arcs import segment_arcs
 from repro.printer.firmware import Firmware
@@ -104,7 +105,7 @@ def scheduled_print():
 def test_kernel_sample_vectorized(benchmark, scheduled_print):
     firmware, segments, events = scheduled_print
     trace = benchmark(firmware._sample, segments, events)
-    reference = firmware._sample_loop(segments, events)
+    reference = ReferenceFirmware(ULTIMAKER3)._sample(segments, events)
     for name in (
         "position", "velocity", "acceleration", "extrusion_rate",
         "hotend_temp", "bed_temp", "fan",
@@ -118,7 +119,7 @@ def test_kernel_sample_vectorized(benchmark, scheduled_print):
 
 def test_kernel_sample_loop_reference(benchmark, scheduled_print):
     firmware, segments, events = scheduled_print
-    trace = benchmark(firmware._sample_loop, segments, events)
+    trace = benchmark(ReferenceFirmware(ULTIMAKER3)._sample, segments, events)
     assert trace.n_samples > 1000
 
 
@@ -128,7 +129,7 @@ def test_kernel_thermal_track(benchmark, scheduled_print):
     hot = benchmark(
         firmware._thermal_track, times, events["hotend"], ULTIMAKER3.hotend_tau
     )
-    reference = firmware._thermal_track_loop(
+    reference = ReferenceFirmware(ULTIMAKER3)._thermal_track(
         times, events["hotend"], ULTIMAKER3.hotend_tau
     )
     assert np.max(np.abs(hot - reference)) <= 1e-9

@@ -10,7 +10,7 @@ distance because it is insensitive to per-run gain changes.
 from __future__ import annotations
 
 import math
-from typing import Callable, Union
+from typing import Callable, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -36,6 +36,12 @@ MAX_CORRELATION_DISTANCE = 2.0
 #: Amplitude spread below which a window counts as constant (zero-variance);
 #: matches the ``_EPS`` guard inside :mod:`repro.signals.metrics`.
 _CONSTANT_EPS = 1e-12
+
+
+def _finite_or_max(value: float) -> float:
+    """``value``, or :data:`MAX_CORRELATION_DISTANCE` when it is not finite."""
+    value = float(value)
+    return value if math.isfinite(value) else MAX_CORRELATION_DISTANCE
 
 
 def _is_constant(window: np.ndarray) -> bool:
@@ -82,11 +88,20 @@ class Comparator:
         Window mode pairs ``a{i}`` with ``b{i; h_disp[i]}`` (Eq. 16); the
         pair is truncated to the shorter of the two when a window is clipped
         by a signal boundary.  Point mode evaluates ``d(a[i], b[j])`` over
-        the warping path and averages duplicates (Eq. 15).
+        the warping path and averages duplicates (Eq. 15).  Either way a
+        non-finite distance is clamped to :data:`MAX_CORRELATION_DISTANCE`.
         """
-        if sync.mode == "window":
-            return self._window_distances(a, b, sync)
-        return self._point_distances(a, b, sync)
+        if sync.mode != "window":
+            return self._point_distances(a, b, sync)
+        starts = [i * sync.n_hop for i in range(sync.n_indexes)]
+        out, overlap = self.window_distances(
+            a.data, 0, b.data, starts, sync.h_disp, sync.n_win
+        )
+        walked = int(np.count_nonzero(overlap < 2))
+        if walked and obs.enabled():
+            # Counter only: the engine owns the ``window_truncated`` event.
+            obs.counter("repro.core.comparator.truncated_windows").inc(walked)
+        return out
 
     # ------------------------------------------------------------------
     def pair_distance(self, wa: np.ndarray, wb: np.ndarray) -> float:
@@ -102,9 +117,8 @@ class Comparator:
           with identical values are indistinguishable and map to ``0.0``
           (two *different* constants still map to the maximum).
         * **Finiteness**: whatever the metric returns, a non-finite value
-          is clamped to :data:`MAX_CORRELATION_DISTANCE` — NaN compares
-          ``False`` against every threshold, which would make the IDS fail
-          open on degenerate input.
+          is clamped to :data:`MAX_CORRELATION_DISTANCE`
+          (:func:`_finite_or_max`).
         """
         if self._correlation_like:
             ca, cb = _is_constant(wa), _is_constant(wb)
@@ -112,8 +126,7 @@ class Comparator:
                 if ca and cb and np.array_equal(wa[:1], wb[:1]):
                     return 0.0
                 return MAX_CORRELATION_DISTANCE
-        value = float(self.metric(wa, wb))
-        return value if math.isfinite(value) else MAX_CORRELATION_DISTANCE
+        return _finite_or_max(self.metric(wa, wb))
 
     def pair_distances(self, wa: np.ndarray, wb: np.ndarray) -> np.ndarray:
         """Batched :meth:`pair_distance` over stacked ``(k, n, c)`` pairs.
@@ -166,96 +179,66 @@ class Comparator:
             )
         return out
 
-    def _window_distances(
-        self, a: Signal, b: Signal, sync: SyncResult
-    ) -> np.ndarray:
-        """Vertical distances for every synchronized window (Eq. 16).
+    def window_distances(
+        self,
+        observed: np.ndarray,
+        start: int,
+        reference: np.ndarray,
+        starts: Sequence[int],
+        h_disp: Sequence[float],
+        n_win: int,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Score window pairs ``a{i}`` / ``b{i; h_disp[i]}`` (Eq. 16).
 
-        Fast path: all windows that lie fully inside both signals with a
-        finite displacement are gathered into one ``(k, n_win, c)`` stack
-        and scored by a single :meth:`pair_distances` call.  Boundary-
-        clipped, degenerate, or non-finitely-displaced windows take the
-        scalar per-window route, which owns the walk-off accounting.
+        ``observed`` holds the observed samples from absolute index
+        ``start`` on; ``starts`` are absolute window starts.  Each window
+        is clipped to the samples that exist and the pair truncated to the
+        shorter of the two.  Returns the distances and the overlap that
+        counted per window.  An overlap under 2 samples, or a non-finite
+        displacement (overlap 0), is a walk-off: it scores
+        :data:`MAX_CORRELATION_DISTANCE` and the caller accounts it.  Two
+        or more unclipped windows are stacked into one
+        :meth:`pair_distances` call, the rest take :meth:`pair_distance`
+        on views — the same bits either way.
         """
-        n_win, n_hop = sync.n_win, sync.n_hop
-        k = sync.n_indexes
-        if k == 0 or n_win < 2 or not self._correlation_like:
-            return self._window_distances_scalar(a, b, sync)
-        h = np.asarray(sync.h_disp, dtype=np.float64)
-        starts = np.arange(k, dtype=np.float64) * n_hop
-        # Eligibility is decided in float64 so absurd displacements (1e300
-        # from a walked-off synchronizer) cannot overflow an int cast; the
-        # ineligible windows fall through to the scalar path, which works
-        # in exact Python ints.
-        b0f = starts + np.round(h)
-        eligible = (
-            np.isfinite(h)
-            & (b0f >= 0.0)
-            & (b0f + n_win <= b.n_samples)
-            & (starts + n_win <= a.n_samples)
-        )
-        out = np.empty(k)
-        idx = np.flatnonzero(eligible)
-        if idx.size:
-            span = np.arange(n_win)
-            a0 = idx * n_hop
-            b0 = b0f[idx].astype(np.int64)
-            wa = a.data[a0[:, np.newaxis] + span, :]
-            wb = b.data[b0[:, np.newaxis] + span, :]
-            out[idx] = self.pair_distances(wa, wb)
-        for i in np.flatnonzero(~eligible):
-            out[i] = self._one_window_distance(a, b, sync, int(i))
-        return out
-
-    def _window_distances_scalar(
-        self, a: Signal, b: Signal, sync: SyncResult
-    ) -> np.ndarray:
-        """Reference implementation: one :meth:`pair_distance` per window.
-
-        Kept verbatim as the bit-exactness oracle for the vectorized
-        :meth:`_window_distances` (differential-tested), and used directly
-        for non-correlation metrics and sub-2-sample windows.
-        """
-        out = np.empty(sync.n_indexes)
-        for i in range(sync.n_indexes):
-            out[i] = self._one_window_distance(a, b, sync, i)
-        return out
-
-    def _one_window_distance(
-        self, a: Signal, b: Signal, sync: SyncResult, i: int
-    ) -> float:
-        n_win, n_hop = sync.n_win, sync.n_hop
-        h = float(sync.h_disp[i])
-        if not math.isfinite(h):
-            # A non-finite displacement estimate is a synchronizer
-            # walk-off, not a crash: int(round(nan)) would raise
-            # mid-detection.  Score the window as worst-case instead.
-            self._note_walkoff(i, 0)
-            return MAX_CORRELATION_DISTANCE
-        disp = int(round(h))
-        wa = a.window(i, n_win, n_hop).data
-        wb = b.window(i, n_win, n_hop, offset=disp).data
-        n = min(wa.shape[0], wb.shape[0])
-        if n < 2:
-            # A vanishing window means the synchronizer walked off the
-            # reference (overrun, or an offset so negative the window
-            # clamps to nothing); report the worst correlation distance
-            # so the discriminator sees it.
-            self._note_walkoff(i, n)
-            return MAX_CORRELATION_DISTANCE
-        return self.pair_distance(wa[:n], wb[:n])
-
-    @staticmethod
-    def _note_walkoff(window: int, n: int) -> None:
-        """Account one walked-off window.
-
-        Counter only: the ``window_truncated`` *event* is emitted solely by
-        the detection engine (:mod:`repro.core.engine`), which owns all
-        provenance emission; the standalone comparator API keeps the metric
-        so direct callers still see walk-offs in the metrics snapshot.
-        """
-        if obs.enabled():
-            obs.counter("repro.core.comparator.truncated_windows").inc()
+        end, n_ref = start + observed.shape[0], reference.shape[0]
+        out = np.full(len(h_disp), MAX_CORRELATION_DISTANCE)
+        overlap: List[int] = []
+        full: List[Tuple[int, int, int]] = []
+        for j, (s, h) in enumerate(zip(starts, h_disp)):
+            s, h = int(s), float(h)
+            if s < start:
+                raise ValueError(f"window start {s} precedes sample {start}")
+            if not math.isfinite(h):
+                overlap.append(0)
+                continue
+            # Exact int arithmetic, even for a displacement of 1e300.  The
+            # reference side never exceeds n_win, so neither does n.
+            b0 = s + round(h)
+            n = max(0, min(end - s, min(b0 + n_win, n_ref) - max(b0, 0)))
+            overlap.append(n)
+            if n < 2:
+                continue
+            a, r = s - start, max(b0, 0)
+            if n == n_win:
+                full.append((j, a, r))
+            else:
+                out[j] = self.pair_distance(
+                    observed[a : a + n], reference[r : r + n]
+                )
+        if len(full) > 1:
+            # Stacking views copies each window with one memcpy; a fancy
+            # row gather is several times slower on narrow signals.
+            out[[j for j, _, _ in full]] = self.pair_distances(
+                np.stack([observed[a : a + n_win] for _, a, _ in full]),
+                np.stack([reference[r : r + n_win] for _, _, r in full]),
+            )
+        elif full:
+            j, a, r = full[0]
+            out[j] = self.pair_distance(
+                observed[a : a + n_win], reference[r : r + n_win]
+            )
+        return out, np.array(overlap, dtype=np.int64)
 
     def _point_distances(self, a: Signal, b: Signal, sync: SyncResult) -> np.ndarray:
         if sync.pairs is None:
@@ -266,7 +249,7 @@ class Comparator:
             if i >= a.n_samples or j >= b.n_samples:
                 continue
             # A point's channel vector plays the role of the 1-D input.
-            sums[i] += self.metric(a.data[i, :], b.data[j, :])
+            sums[i] += _finite_or_max(self.metric(a.data[i, :], b.data[j, :]))
             counts[i] += 1
         out = np.zeros(a.n_samples)
         mask = counts > 0

@@ -16,8 +16,10 @@ chunk::
   :class:`~repro.sync.base.SyncCursor`.  DWM streams natively; batch
   synchronizers (DTW/FastDTW) ride behind
   :class:`~repro.sync.base.BatchSyncCursor` and emit at finalization.
-* **compare** — one vertical distance per emitted index (Eq. 15/16), with
-  the named worst-case fallback for truncated/degenerate windows.
+* **compare** — one vertical distance per emitted index (Eq. 15/16), from
+  the same :meth:`~repro.core.comparator.Comparator.window_distances`
+  scorer batch calls use, with the named worst-case fallback for
+  truncated/degenerate windows.
 * **discriminate** — incremental CADHD (Eq. 17) and trailing-min filtered
   distances (Eq. 21/22) checked against the thresholds; each sub-module
   raises at most one :class:`Alert`, at its first offending index.
@@ -45,10 +47,12 @@ per type, whichever way the engine is driven.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import time
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import TypeVar, Union
 
 import numpy as np
 
@@ -308,6 +312,20 @@ class EngineResult:
     alerts: Tuple[Alert, ...]
 
 
+_T = TypeVar("_T")
+
+#: The push span's stand-in when observability is off: no obs code at all.
+_NO_SPAN: "contextlib.nullcontext[None]" = contextlib.nullcontext()
+
+
+def _stage(traced: bool, name: str, fn: Callable[..., _T], *args: Any) -> _T:
+    """``fn(*args)``, timed as the stage span ``name`` when traced."""
+    if not traced:
+        return fn(*args)
+    with obs.trace(name):
+        return fn(*args)
+
+
 def _finite(value: float) -> Optional[float]:
     """float(value), or None when it would not survive strict JSON."""
     v = float(value)
@@ -343,9 +361,9 @@ class DetectionEngine:
         a live :class:`~repro.obs.telemetry.StreamHealth` row in the
         process-wide telemetry registry (ingest lag, chunk-latency
         quantiles, alert/quarantine state — what ``repro top`` and the
-        Prometheus endpoint render).  Health rows update only on the
-        instrumented branch of :meth:`push`: with observability disabled
-        the hot path stays telemetry-free.
+        Prometheus endpoint render).  Health rows update only on traced
+        pushes: with observability disabled the hot path stays
+        telemetry-free.
     """
 
     def __init__(
@@ -471,33 +489,27 @@ class DetectionEngine:
             raise ValueError(
                 f"expected {self._n_channels} channels, got {samples.shape[1]}"
             )
-        if not obs.enabled():
-            # Disabled-observability fast path: identical stage sequence,
-            # but no context-manager entries or counter lookups per push —
-            # at DAQ chunk sizes those null shims alone cost measurable
-            # throughput (asserted < 3% overhead by
-            # benchmarks/bench_engine_throughput.py).
-            clean, bad_rows, self._pending_fault = self._sanitizer.push(
-                samples
+        # Tracing is decided once per push: with observability off no span
+        # is entered and the obs and telemetry layers are never touched
+        # (asserted by benchmarks/bench_engine_throughput.py).
+        traced = obs.enabled()
+        t0 = time.perf_counter() if traced else 0.0
+        with obs.trace("repro.core.engine.push") if traced else _NO_SPAN:
+            clean, bad_rows, self._pending_fault = _stage(
+                traced, "sanitize", self._sanitizer.push, samples
             )
             self._ring.append(clean)
             self._bad_ring.append(bad_rows)
-            emitted = self._cursor.push(clean)
-            new_alerts = self._ingest(emitted, v_pre=None)
+            emitted = _stage(traced, "synchronize", self._cursor.push, clean)
+            held, v, cut = _stage(
+                traced, "compare", self._compare, emitted, traced, None
+            )
+            new_alerts = _stage(
+                traced, "discriminate", self._discriminate, emitted, held, v, cut
+            )
             self._trim()
+        if not traced:
             return new_alerts
-        t0 = time.perf_counter()
-        with obs.trace("repro.core.engine.push"):
-            with obs.trace("sanitize"):
-                clean, bad_rows, self._pending_fault = (
-                    self._sanitizer.push(samples)
-                )
-            self._ring.append(clean)
-            self._bad_ring.append(bad_rows)
-            with obs.trace("synchronize"):
-                emitted = self._cursor.push(clean)
-            new_alerts = self._ingest(emitted, v_pre=None)
-            self._trim()
         latency_s = time.perf_counter() - t0
         obs.counter("repro.core.engine.samples").inc(samples.shape[0])
         if new_alerts:
@@ -526,14 +538,16 @@ class DetectionEngine:
         with obs.trace("repro.core.engine.finalize"):
             emitted = self._cursor.finalize()
             sync = self._cursor.result()
-            v_pre: Optional[np.ndarray] = None
-            if sync.mode == "point" and len(self._ring):
-                with obs.trace("compare"):
+            v_point: Optional[np.ndarray] = None
+            with obs.trace("compare"):
+                if sync.mode == "point" and len(self._ring):
                     observed = Signal(self._ring.tail(), self._rate)
-                    v_pre = self._comparator.vertical_distances(
+                    v_point = self._comparator.vertical_distances(
                         observed, self.reference, sync
                     )
-            self._ingest(emitted, v_pre=v_pre)
+                held, v, cut = self._compare(emitted, obs.enabled(), v_point)
+            with obs.trace("discriminate"):
+                self._discriminate(emitted, held, v, cut)
             self._check_fraction_rule()
             health = self._sanitizer.health(self._fault_reasons)
             features = DetectionFeatures(
@@ -543,8 +557,8 @@ class DetectionEngine:
                 duration_mismatch=self._duration_mismatch(sync),
             )
             v_dist = (
-                v_pre
-                if v_pre is not None
+                v_point
+                if v_point is not None
                 else np.asarray(self._v_hist, dtype=np.float64)
             )
             detection: Optional[Detection] = None
@@ -759,30 +773,120 @@ class DetectionEngine:
             self._emit_alarm(alert)
 
     # ------------------------------------------------------------------
-    # Stages 2-4: synchronize / compare / discriminate per index
+    # Stages 3-4: compare / discriminate the synchronized indexes
     # ------------------------------------------------------------------
-    def _ingest(
+    def _compare(
         self,
         emitted: Sequence[Tuple[int, float]],
-        v_pre: Optional[np.ndarray],
+        traced: bool,
+        v_point: Optional[np.ndarray],
+    ) -> Tuple[List[float], List[float], List[Optional[int]]]:
+        """Stage 3: one vertical distance per emitted index (Eq. 15/16).
+
+        Window mode scores the emitted windows with one
+        :meth:`~repro.core.comparator.Comparator.window_distances` call;
+        point mode reads ``v_point``, computed over the warping path at
+        finalization.  A non-finite displacement would poison the CADHD
+        for the rest of the print, so its index is evaluated with the
+        previous displacement and scores the worst case, like a window
+        with under 2 overlapping samples.  Returns the displacement each
+        index is evaluated with, its distance, and the overlap each
+        truncated index kept (``None`` for the others).
+        """
+        if not emitted:
+            return [], [], []
+        held: List[float] = []
+        last = self._prev_disp
+        for _, d in emitted:
+            last = d if math.isfinite(d) else last
+            held.append(last)
+        cursor, idx = self._cursor, [i for i, _ in emitted]
+        v, overlap = self._comparator.window_distances(
+            self._ring.tail(), self._ring.start, self.reference.data,
+            [i * cursor.n_hop for i in idx], held, cursor.n_win,
+        )
+        dist: List[float] = (v if v_point is None else v_point[idx]).tolist()
+        cut: List[Optional[int]] = []
+        for j, ((_, d), n) in enumerate(zip(emitted, overlap.tolist())):
+            # Point mode has n_win == 1: every overlap is under 2 there, and
+            # only a non-finite displacement truncates.
+            truncated = not math.isfinite(d) or (v_point is None and n < 2)
+            cut.append(n if truncated else None)
+            if truncated:
+                dist[j] = TRUNCATED_WINDOW_DISTANCE
+        n_cut = len(cut) - cut.count(None)
+        if traced and n_cut:
+            obs.counter("repro.core.engine.truncated_windows").inc(n_cut)
+        return held, dist, cut
+
+    def _discriminate(
+        self,
+        emitted: Sequence[Tuple[int, float]],
+        held: List[float],
+        v: List[float],
+        cut: List[Optional[int]],
     ) -> List[Alert]:
-        """Evaluate newly synchronized indexes, interleaving the pending
-        sensor fault at its exact crossing sample."""
+        """Stage 4: fold the compared indexes into the evidence, in order.
+
+        This is the single implementation of the per-index evidence math:
+        incremental CADHD (Eq. 17), trailing-min filtered horizontal and
+        vertical distances (Eq. 19-22), quarantine flagging, and the
+        first-crossing alert per sub-module.  The pending sensor fault is
+        interleaved at its exact crossing sample, so alerts and events do
+        not depend on chunk boundaries.
+        """
+        t = self.thresholds
+        n_win, n_hop = self._cursor.n_win, self._cursor.n_hop
         new_alerts: List[Alert] = []
-        v_batch: Optional[Dict[int, float]] = None
-        if v_pre is None and len(emitted) > 1:
-            v_batch = self._batch_compare(emitted)
-        for i, disp in emitted:
-            if self._pending_fault is not None:
-                stop = i * self._cursor.n_hop + self._cursor.n_win
-                if stop > self._pending_fault[0]:
-                    self._fire_sensor_fault(
-                        new_alerts, ("dark_channel",), *self._pending_fault
-                    )
-                    self._pending_fault = None
-            self._evaluate_index(
-                int(i), float(disp), v_pre, v_batch, new_alerts
-            )
+        for (i, _), disp, v_i, n_cut in zip(emitted, held, v, cut):
+            i = int(i)
+            fault = self._pending_fault
+            if fault is not None and i * n_hop + n_win > fault[0]:
+                self._fire_sensor_fault(new_alerts, ("dark_channel",), *fault)
+                self._pending_fault = None
+
+            # Sub-module 1: CADHD, updated incrementally (Eq. 17).
+            self._c_disp += abs(disp - self._prev_disp)
+            self._prev_disp = disp
+            self._c_hist.append(self._c_disp)
+
+            # Sub-module 2: filtered horizontal distance (Eq. 19, 21).
+            self._h_hist.append(abs(disp))
+            h_f = min(self._h_hist[-self.filter_window:])
+            self._h_f.append(h_f)
+
+            # Sub-module 3: filtered vertical distance (Eq. 20, 22).
+            if n_cut is not None and events.enabled():
+                events.log().emit("window_truncated", window=i, n=n_cut)
+            self._quarantine_check(i, n_win, n_hop)
+            self._v_hist.append(v_i)
+            v_f = min(self._v_hist[-self.filter_window:])
+            self._v_f.append(v_f)
+
+            if events.enabled():
+                events.log().emit(
+                    "window_evidence",
+                    window=i,
+                    h_disp=float(disp),
+                    c_disp=float(self._c_disp),
+                    h_dist_f=float(h_f),
+                    v_dist_f=float(v_f),
+                )
+            if t is None:
+                continue
+            for submodule, value, threshold in (
+                ("c_disp", self._c_disp, t.c_c),
+                ("h_dist", h_f, t.h_c),
+                ("v_dist", v_f, t.v_c),
+            ):
+                if submodule in self._fired or not value > threshold:
+                    continue
+                self._fired.add(submodule)
+                time_s = i * n_hop / self._rate
+                alert = Alert(i, submodule, value, threshold, time_s)
+                new_alerts.append(alert)
+                if events.enabled():
+                    self._emit_alarm(alert)
         if self._pending_fault is not None:
             self._fire_sensor_fault(
                 new_alerts, ("dark_channel",), *self._pending_fault
@@ -791,167 +895,15 @@ class DetectionEngine:
         self._alerts.extend(new_alerts)
         return new_alerts
 
-    def _batch_compare(
-        self, emitted: Sequence[Tuple[int, float]]
-    ) -> Optional[Dict[int, float]]:
-        """Pre-score the clean full windows of one push in a single call.
-
-        Gathers every emitted window that lies fully inside both the
-        buffered tail and the reference (finite displacement, no boundary
-        clipping) into one ``(k, n_win, c)`` stack and scores it with one
-        :meth:`~repro.core.comparator.Comparator.pair_distances` call —
-        bit-identical to the per-window scalar path.  Windows that need
-        the worst-case fallback are deliberately left out: they emit
-        ``window_truncated`` events from inside the per-index loop, and
-        pre-scoring them here would reorder the event stream relative to
-        a differently-chunked run.
-        """
-        if self._cursor.mode != "window":
-            return None
-        n_win, n_hop = self._cursor.n_win, self._cursor.n_hop
-        n_ref = self.reference.n_samples
-        ref = self.reference.data
-        idxs: List[int] = []
-        stack_a: List[np.ndarray] = []
-        stack_b: List[np.ndarray] = []
-        for i, disp in emitted:
-            if not math.isfinite(disp):
-                continue
-            start = int(i) * n_hop
-            b0 = start + int(round(disp))
-            if b0 < 0 or b0 + n_win > n_ref:
-                continue
-            if start + n_win > self._ring.end:
-                continue
-            idxs.append(int(i))
-            stack_a.append(self._ring.view(start, start + n_win))
-            stack_b.append(ref[b0 : b0 + n_win])
-        if not idxs:
-            return None
-        vals = self._comparator.pair_distances(
-            np.stack(stack_a), np.stack(stack_b)
-        )
-        return {i: float(v) for i, v in zip(idxs, vals)}
-
-    def _evaluate_index(
-        self,
-        i: int,
-        disp: float,
-        v_pre: Optional[np.ndarray],
-        v_batch: Optional[Dict[int, float]],
-        sink: List[Alert],
-    ) -> None:
-        """Compare + discriminate one synchronized index (window or point).
-
-        This is the single implementation of the per-index evidence math:
-        incremental CADHD (Eq. 17), trailing-min filtered horizontal and
-        vertical distances (Eq. 19-22), quarantine flagging, and the
-        first-crossing alert per sub-module.
-        """
-        t = self.thresholds
-        n_win, n_hop = self._cursor.n_win, self._cursor.n_hop
-        time_s = i * n_hop / self._rate
-
-        # A synchronizer emitting a non-finite displacement would poison
-        # the cumulative CADHD for the rest of the print; hold the previous
-        # estimate for the c/h sub-modules and report worst-case vertical
-        # evidence for this index instead.
-        degenerate = not math.isfinite(disp)
-        if degenerate:
-            disp = self._prev_disp
-
-        # Sub-module 1: CADHD, updated incrementally (Eq. 17).
-        self._c_disp += abs(disp - self._prev_disp)
-        self._prev_disp = disp
-        self._c_hist.append(self._c_disp)
-
-        # Sub-module 2: filtered horizontal distance (Eq. 19, 21).
-        self._h_hist.append(abs(disp))
-        h_f = min(self._h_hist[-self.filter_window:])
-        self._h_f.append(h_f)
-
-        # Sub-module 3: filtered vertical distance (Eq. 20, 22).
-        v = self._stage_compare(i, disp, degenerate, v_pre, v_batch)
-        self._quarantine_check(i, n_win, n_hop)
-        self._v_hist.append(v)
-        v_f = min(self._v_hist[-self.filter_window:])
-        self._v_f.append(v_f)
-
-        if events.enabled():
-            events.log().emit(
-                "window_evidence",
-                window=i,
-                h_disp=float(disp),
-                c_disp=float(self._c_disp),
-                h_dist_f=float(h_f),
-                v_dist_f=float(v_f),
-            )
-        if t is None:
-            return
-        for submodule, value, threshold in (
-            ("c_disp", self._c_disp, t.c_c),
-            ("h_dist", h_f, t.h_c),
-            ("v_dist", v_f, t.v_c),
-        ):
-            if submodule in self._fired or not value > threshold:
-                continue
-            self._fired.add(submodule)
-            alert = Alert(i, submodule, value, threshold, time_s)
-            sink.append(alert)
-            if events.enabled():
-                self._emit_alarm(alert)
-
-    def _stage_compare(
-        self,
-        i: int,
-        disp: float,
-        degenerate: bool,
-        v_pre: Optional[np.ndarray],
-        v_batch: Optional[Dict[int, float]],
-    ) -> float:
-        """Vertical distance for one index, with the worst-case fallback."""
-        if not degenerate:
-            if v_pre is not None:
-                # Point mode: distances were computed wholesale over the
-                # warping path (Eq. 15); nothing to window out.
-                return float(v_pre[i])
-            if v_batch is not None:
-                v = v_batch.get(i)
-                if v is not None:
-                    return v
-        n_win, n_hop = self._cursor.n_win, self._cursor.n_hop
-        start = i * n_hop
-        wa = self._ring.view(start, start + n_win)
-        offset = int(round(disp))
-        wb = self.reference.slice(
-            start + offset, start + offset + n_win
-        ).data
-        n = min(wa.shape[0], wb.shape[0])
-        if n >= 2 and not degenerate:
-            return self._comparator.pair_distance(wa[:n], wb[:n])
-        if obs.enabled():
-            obs.counter("repro.core.engine.truncated_windows").inc()
-        if events.enabled():
-            events.log().emit("window_truncated", window=i, n=int(n))
-        return TRUNCATED_WINDOW_DISTANCE
-
     def _quarantine_check(self, i: int, n_win: int, n_hop: int) -> None:
         """Flag an index whose input samples had to be repaired."""
         if self._sanitizer.n_nonfinite == 0:
             # Nothing was ever repaired, so no window can be quarantined;
             # skip the per-window mask scan on healthy streams.
             return
-        if self._cursor.mode == "window":
-            start = i * n_hop
-            n_bad = int(
-                np.count_nonzero(self._bad_ring.view(start, start + n_win))
-            )
-        else:
-            n_bad = (
-                1
-                if (i < self._bad_ring.end and bool(self._bad_ring.view(i, i + 1)[0]))
-                else 0
-            )
+        # Point mode has n_win == n_hop == 1: the window is the point.
+        start = i * n_hop
+        n_bad = int(np.count_nonzero(self._bad_ring.view(start, start + n_win)))
         if not n_bad:
             return
         self._quarantined.append(i)

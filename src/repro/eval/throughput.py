@@ -26,8 +26,9 @@ Measurement semantics
   ``False`` and whose instrument factories *count* every touch.  The
   probe run measures a build with no observability registry at all, so
   ``t_normal / t_probe - 1`` is the overhead the disabled obs layer adds
-  to ``push()``; the touch count asserts structurally that the disabled
-  hot path never enters a span or resolves a counter.  The same probe
+  to ``push()``, taken as the median over interleaved block pairs.  The
+  touch count asserts structurally that the disabled hot path never
+  enters a span or resolves a counter.  The same probe
   also swaps the ``telemetry`` module seen by the engine for a stub
   whose stream-health methods count, so a disabled run that brushed the
   per-stream health registry (PR 8) fails the same zero-touch gate.
@@ -73,6 +74,9 @@ WARM_FIELDS = (
     "streaming_warm_samples_per_s",
     "batch_warm_samples_per_s",
 )
+
+#: Interleaved normal/probe block pairs behind ``disabled_obs_overhead``.
+OVERHEAD_PAIRS = 40
 
 #: Lower-is-better per-chunk push-latency fields (also regression-gated).
 LATENCY_FIELDS = (
@@ -325,6 +329,41 @@ def count_hot_path_obs_calls(
     return touches
 
 
+def _disabled_obs_overhead(
+    workload: ThroughputWorkload, reference: Signal, observed: np.ndarray
+) -> Tuple[float, int]:
+    """Disabled-obs overhead of ``push()``, and the probe's hot-path touches.
+
+    A normal and a probed engine consume the same stream, interleaved in
+    :data:`OVERHEAD_PAIRS` block pairs (ABAB..., alternating which side
+    runs first) so machine-speed drift hits both sides alike; the overhead
+    is the median per-pair time ratio minus one, floored at 0.
+    """
+    probe = _ObsProbe()
+    engines = [workload.engine(reference)]
+    with _patched_obs(probe):
+        # Built inside the patch so it binds the counting health row.
+        engines.append(workload.engine(reference))
+    probe.touches = 0  # construction is not the hot path
+    chunk = workload.chunk_samples
+    starts = np.arange(0, workload.n_samples, chunk)
+    blocks = np.array_split(starts, min(OVERHEAD_PAIRS, starts.size))
+    ratios = []
+    for k, block in enumerate(blocks):
+        seconds = [0.0, 0.0]  # [normal, probe]
+        for side in (k % 2, 1 - k % 2):
+            with _patched_obs(probe) if side else contextlib.nullcontext():
+                t0 = time.perf_counter()
+                for s in block.tolist():
+                    engines[side].push(observed[s : s + chunk])
+                seconds[side] = time.perf_counter() - t0
+        ratios.append(seconds[0] / seconds[1])
+    touches = probe.touches
+    for engine in engines:
+        engine.finalize()
+    return max(0.0, float(np.median(ratios)) - 1.0), touches
+
+
 def measure_engine_throughput(
     workload: Optional[ThroughputWorkload] = None, repeats: int = 3
 ) -> Dict[str, object]:
@@ -350,16 +389,9 @@ def measure_engine_throughput(
         batch_warm = min(
             _time_batch(w, reference, observed) for _ in range(repeats)
         )
-        probe = _ObsProbe()
-        with _patched_obs(probe):
-            engines = [w.engine(reference) for _ in range(repeats)]
-            probe.touches = 0  # construction is not the hot path
-            no_obs = min(
-                _push_loop(engine, w, observed) for engine in engines
-            )
-            hot_path_calls = probe.touches
-        for engine in engines:
-            engine.finalize()
+        overhead, hot_path_calls = _disabled_obs_overhead(
+            w, reference, observed
+        )
         latencies = _chunk_latencies(w, reference, observed)
     finally:
         if was_enabled:
@@ -373,7 +405,7 @@ def measure_engine_throughput(
         "batch_warm_samples_per_s": n / batch_warm,
         "streaming_chunk_p50_ms": float(np.percentile(latencies, 50) * 1e3),
         "streaming_chunk_p99_ms": float(np.percentile(latencies, 99) * 1e3),
-        "disabled_obs_overhead": max(0.0, stream_warm / no_obs - 1.0),
+        "disabled_obs_overhead": overhead,
         "hot_path_obs_calls": int(hot_path_calls),
         "chunk_samples": int(w.chunk_samples),
         "n_samples": int(w.n_samples),

@@ -412,10 +412,7 @@ class Firmware:
     # Sampling: turn segments + events into uniform arrays.
     # ------------------------------------------------------------------
     def _sample(
-        self,
-        segments: List[_MoveSegment],
-        events: dict,
-        vectorized: bool = True,
+        self, segments: List[_MoveSegment], events: dict
     ) -> MachineTrace:
         machine = self.machine
         fs = machine.sim_rate
@@ -423,13 +420,9 @@ class Firmware:
         n = max(2, int(np.ceil(total * fs)) + 1)
         times = np.arange(n) / fs
 
-        motion = (
+        position, velocity, acceleration, extrusion, command_index, layer_index = (
             self._motion_arrays(times, segments)
-            if vectorized
-            else self._motion_arrays_loop(times, segments)
         )
-        position, velocity, acceleration, extrusion = motion[:4]
-        command_index, layer_index = motion[4:]
 
         hotend = self._thermal_track(times, events["hotend"], machine.hotend_tau)
         bed = self._thermal_track(times, events["bed"], machine.bed_tau)
@@ -455,12 +448,6 @@ class Firmware:
             layer_change_times=list(events["layer_changes"]),
         )
 
-    def _sample_loop(
-        self, segments: List[_MoveSegment], events: dict
-    ) -> MachineTrace:
-        """Reference implementation sampling with the per-segment loop."""
-        return self._sample(segments, events, vectorized=False)
-
     @staticmethod
     def _segment_bounds(
         times: np.ndarray, segments: List[_MoveSegment], fs: float
@@ -484,8 +471,9 @@ class Firmware:
         sample, the piecewise closed form is evaluated once over the
         batch, and idle holds between moves are filled with
         ``searchsorted`` over the (monotone) segment boundaries.  The
-        arithmetic is element-for-element the same as the loop reference,
-        so outputs match it exactly.
+        arithmetic is element-for-element the same as the per-segment loop
+        of :class:`repro.eval.diff.ReferenceFirmware`, so outputs match it
+        exactly.
         """
         n = times.shape[0]
         position = np.zeros((n, 3))
@@ -653,65 +641,6 @@ class Firmware:
             command_index, layer_index,
         )
 
-    def _motion_arrays_loop(
-        self, times: np.ndarray, segments: List[_MoveSegment]
-    ) -> Tuple[np.ndarray, ...]:
-        """Original serial sampling loop, kept as the regression reference."""
-        n = times.shape[0]
-        fs = self.machine.sim_rate
-        position = np.zeros((n, 3))
-        velocity = np.zeros((n, 3))
-        acceleration = np.zeros((n, 3))
-        extrusion = np.zeros(n)
-        command_index = np.zeros(n, dtype=np.intp)
-        layer_index = np.zeros(n, dtype=np.intp)
-
-        # Hold the last position between moves.
-        last_pos = np.zeros(3)
-        cursor = 0
-        for seg in segments:
-            i0 = int(np.ceil(seg.t_start * fs))
-            i1 = int(np.ceil((seg.t_start + seg.duration) * fs))
-            i0, i1 = min(i0, n), min(i1, n)
-            # idle gap before this segment holds the previous position
-            position[cursor:i0] = last_pos
-            if cursor > 0:
-                command_index[cursor:i0] = command_index[cursor - 1]
-                layer_index[cursor:i0] = layer_index[cursor - 1]
-
-            if i1 > i0:
-                local_t = times[i0:i1] - seg.t_start
-                # Jitter stretches real time; the profile is defined over the
-                # nominal duration, so map through the stretch factor.
-                stretch = (
-                    seg.profile.duration / seg.duration
-                    if seg.duration > 0
-                    else 1.0
-                )
-                tau = local_t * stretch
-                s = seg.profile.position(tau)
-                v = seg.profile.velocity(tau) * stretch
-                a = seg.profile.acceleration(tau) * stretch**2
-                position[i0:i1] = seg.start_xyz + np.outer(s, seg.direction)
-                velocity[i0:i1] = np.outer(v, seg.direction)
-                acceleration[i0:i1] = np.outer(a, seg.direction)
-                if seg.profile.distance > 0:
-                    frac = seg.e_delta / seg.profile.distance
-                    extrusion[i0:i1] = v * frac
-                command_index[i0:i1] = seg.command_index
-                layer_index[i0:i1] = seg.layer_index
-            end = seg.start_xyz + seg.direction * seg.profile.distance
-            last_pos = end
-            cursor = max(cursor, i1)
-        position[cursor:] = last_pos
-        if cursor > 0 and cursor < n:
-            command_index[cursor:] = command_index[cursor - 1]
-            layer_index[cursor:] = layer_index[cursor - 1]
-        return (
-            position, velocity, acceleration, extrusion,
-            command_index, layer_index,
-        )
-
     def _thermal_track(
         self, times: np.ndarray, events: List[Tuple[float, float]], tau: float
     ) -> np.ndarray:
@@ -738,19 +667,6 @@ class Firmware:
                     target[1:],
                     zi=np.array([(1.0 - alpha) * out[0]]),
                 )
-        return out
-
-    def _thermal_track_loop(
-        self, times: np.ndarray, events: List[Tuple[float, float]], tau: float
-    ) -> np.ndarray:
-        """Loop-form thermal recursion, kept as the regression reference."""
-        target = self._step_track(times, events)
-        out = np.empty_like(target)
-        out[0] = self.machine.ambient_temp
-        alpha = (1.0 / self.machine.sim_rate) / max(tau, 1e-6)
-        alpha = min(alpha, 1.0)
-        for i in range(1, out.size):
-            out[i] = out[i - 1] + alpha * (target[i] - out[i - 1])
         return out
 
     @staticmethod

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import Comparator, vertical_distances
+from repro.eval.diff import reference_window_distances
 from repro.signals import Signal
 from repro.sync import SyncResult
 
@@ -115,6 +116,28 @@ class TestPointMode:
         v = vertical_distances(s, s, sync)
         assert v.shape == (5,)
 
+    def test_nan_returning_metric_clamped(self):
+        """Point mode clamps non-finite metric values like window mode."""
+        s = make_signal(6)
+        pairs = [(i, i) for i in range(6)] + [(2, 3)]
+        sync = SyncResult(h_disp=np.zeros(6), mode="point", pairs=pairs)
+        v = Comparator(lambda u, w: float("nan")).vertical_distances(s, s, sync)
+        assert np.array_equal(v, np.full(6, 2.0))
+
+    def test_nan_metric_fails_closed_through_dtw(self):
+        """A NaN-emitting metric must not let DTW detection fail open."""
+        from repro.core import NsyncIds, Thresholds
+        from repro.sync import DtwSynchronizer
+
+        ref = make_signal(40, seed=1)
+        ids = NsyncIds(
+            ref, DtwSynchronizer(), metric=lambda u, w: float("nan")
+        )
+        ids.thresholds = Thresholds(c_c=np.inf, h_c=np.inf, v_c=0.5)
+        verdict = ids.detect(make_signal(40, seed=2))
+        assert verdict.is_intrusion
+        assert verdict.v_dist_fired
+
 
 class TestDegenerateWindows:
     """Regression tests: zero-variance / non-finite inputs must map to
@@ -186,10 +209,10 @@ class TestDegenerateWindows:
 class TestBatchedDifferential:
     """The vectorized comparator paths vs their scalar bit-oracles.
 
-    ``_window_distances_scalar`` / ``pair_distance`` are kept verbatim as
-    references; the batched implementations must reproduce them *bit for
-    bit* (not approximately) so chunking invariance and forensic replay
-    stay exact.
+    ``pair_distance`` and the per-window loop
+    ``repro.eval.diff.reference_window_distances`` are the references; the
+    batched implementations must reproduce them *bit for bit* (not
+    approximately) so chunking invariance and forensic replay stay exact.
     """
 
     @staticmethod
@@ -253,8 +276,8 @@ class TestBatchedDifferential:
         b = make_signal(220, seed=4, channels=2)
         h = [0.0, 3.0, -2.4, np.nan, 1e9, -1e9, 215.0, 0.5, np.inf, 7.0]
         sync = window_sync(10, n_win=16, n_hop=8, h_disp=h)
-        fast = comp._window_distances(a, b, sync)
-        scalar = comp._window_distances_scalar(a, b, sync)
+        fast = comp.vertical_distances(a, b, sync)
+        scalar, _ = reference_window_distances(comp, a, b, sync)
         assert np.array_equal(fast, scalar)
 
     def test_window_distances_quarantined_nan_windows(self):
@@ -266,8 +289,8 @@ class TestBatchedDifferential:
         a = Signal(data, 10.0)
         b = make_signal(200, seed=6)
         sync = window_sync(20, n_win=12, n_hop=6)
-        fast = comp._window_distances(a, b, sync)
-        scalar = comp._window_distances_scalar(a, b, sync)
+        fast = comp.vertical_distances(a, b, sync)
+        scalar, _ = reference_window_distances(comp, a, b, sync)
         assert np.array_equal(fast, scalar)
 
     def test_window_distances_hypothesis_bit_identical(self):
@@ -305,8 +328,8 @@ class TestBatchedDifferential:
             sync = window_sync(
                 len(disps), n_win=n_win, n_hop=n_hop, h_disp=disps
             )
-            fast = comp._window_distances(a, b, sync)
-            scalar = comp._window_distances_scalar(a, b, sync)
+            fast = comp.vertical_distances(a, b, sync)
+            scalar, _ = reference_window_distances(comp, a, b, sync)
             assert np.array_equal(fast, scalar)
 
         property_case()

@@ -367,6 +367,137 @@ class TestEngineLifecycle:
         assert engine._ring.start == engine.n_indexes * n_hop
 
 
+class TestStageSpans:
+    """With tracing on, every push records its four stage spans."""
+
+    STAGES = ("sanitize", "synchronize", "compare", "discriminate")
+
+    def test_push_spans_nest_and_count(self, reference):
+        from repro import obs
+
+        chunks = split(make_observed("clean"), range(100, N, 100))
+        engine = DetectionEngine(
+            reference, DwmSynchronizer(PARAMS), thresholds=STRICT
+        )
+        was_enabled = obs.enabled()
+        obs.reset()
+        obs.enable()
+        try:
+            for chunk in chunks:
+                engine.push(chunk)
+            spans = obs.snapshot()["spans"]
+        finally:
+            obs.reset()
+            if not was_enabled:
+                obs.disable()
+        push = spans["repro.core.engine.push"]
+        assert push["count"] == len(chunks)
+        stages = [spans[f"repro.core.engine.push/{s}"] for s in self.STAGES]
+        for stage in stages:
+            assert stage["count"] == len(chunks)
+        assert sum(s["wall_total_s"] for s in stages) <= push["wall_total_s"]
+        window = spans[
+            "repro.core.engine.push/synchronize/repro.sync.dwm.window"
+        ]
+        assert window["count"] == engine.n_indexes > 0
+
+
+class _FixedSync:
+    """Batch synchronizer that returns one prepared ``SyncResult``.
+
+    It has no ``cursor()``, so the engine runs it behind
+    ``BatchSyncCursor`` and scores every window at finalization.
+    """
+
+    def __init__(self, sync):
+        self.sync = sync
+
+    def synchronize(self, observed, reference):
+        return self.sync
+
+
+def expected_truncations(observed, reference, sync):
+    """The ``window_truncated`` payloads, written out from their definition.
+
+    A window is truncated when its displacement is not finite or fewer
+    than 2 samples overlap.  A non-finite displacement is replaced by the
+    last finite one (0.0 before any), and ``n`` is the overlap under that
+    held displacement.
+    """
+    out = []
+    held = 0.0
+    for i, h in enumerate(sync.h_disp):
+        finite = np.isfinite(h)
+        if finite:
+            held = float(h)
+        start = i * sync.n_hop
+        wa = observed.slice(start, start + sync.n_win).data
+        b0 = start + int(round(held))
+        wb = reference.slice(b0, b0 + sync.n_win).data
+        n = min(wa.shape[0], wb.shape[0])
+        if not finite or n < 2:
+            out.append({"window": i, "n": n})
+    return out
+
+
+class TestComparatorParity:
+    """The engine's compare stage scores exactly what ``Comparator`` does."""
+
+    DISPLACEMENTS = st.one_of(
+        st.integers(-45, 45).map(float),
+        st.floats(-30.0, 30.0, allow_nan=False),
+        st.sampled_from([np.nan, np.inf, -np.inf, 1e300, -1e300]),
+    )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        n_obs=st.integers(2, 120),
+        n_ref=st.integers(2, 120),
+        n_ch=st.integers(1, 2),
+        n_win=st.integers(1, 12),
+        n_hop=st.integers(1, 10),
+        h_disp=st.lists(DISPLACEMENTS, max_size=14),
+        flat=st.booleans(),
+        cut=st.floats(0.0, 1.0),
+    )
+    def test_v_dist_and_truncations_match(
+        self, seed, n_obs, n_ref, n_ch, n_win, n_hop, h_disp, flat, cut
+    ):
+        from repro.core.comparator import Comparator
+        from repro.sync.base import SyncResult
+
+        rng = np.random.default_rng(seed)
+        data = rng.standard_normal((n_obs, n_ch))
+        if flat:
+            data[: n_obs // 2] = 0.75  # zero-variance windows
+        observed = Signal(data, FS)
+        reference = Signal(rng.standard_normal((n_ref, n_ch)), FS)
+        sync = SyncResult(
+            h_disp=np.asarray(h_disp, dtype=np.float64),
+            mode="window",
+            n_win=n_win,
+            n_hop=n_hop,
+        )
+        engine = DetectionEngine(reference, _FixedSync(sync))
+        split_at = int(cut * n_obs)
+        events.enable()
+        try:
+            for chunk in (data[:split_at], data[split_at:]):
+                engine.push(chunk)
+            result = engine.finalize()
+            truncated = [
+                {"window": r["window"], "n": r["n"]}
+                for r in events.tail(etype="window_truncated")
+            ]
+        finally:
+            events.disable()
+        expected = Comparator().vertical_distances(observed, reference, sync)
+        assert result.v_dist.dtype == expected.dtype
+        assert result.v_dist.tobytes() == expected.tobytes()
+        assert truncated == expected_truncations(observed, reference, sync)
+
+
 class TestStatePayloadValidation:
     """A malformed checkpoint fails with a ValueError naming the field.
 

@@ -169,10 +169,8 @@ class TestTruncatedWindows:
         obs.reset()
         obs.enable()
         try:
-            ids._ingest(
-                [(ids.n_indexes, float(reference.n_samples + 1000))],
-                v_pre=None,
-            )
+            emitted = [(ids.n_indexes, float(reference.n_samples + 1000))]
+            ids._discriminate(emitted, *ids._compare(emitted, True, None))
         finally:
             snapshot = obs.snapshot()
             obs.disable()

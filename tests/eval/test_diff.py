@@ -219,12 +219,13 @@ class TestMutationSmoke:
     def test_comparator_ulp_fault_is_caught(self, monkeypatch):
         from repro.core.comparator import Comparator
 
-        orig = Comparator._window_distances
+        orig = Comparator.window_distances
 
-        def mutated(self, a, b, sync):
-            return np.nextafter(orig(self, a, b, sync), np.inf)
+        def mutated(self, *args):
+            v, overlap = orig(self, *args)
+            return np.nextafter(v, np.inf), overlap
 
-        monkeypatch.setattr(Comparator, "_window_distances", mutated)
+        monkeypatch.setattr(Comparator, "window_distances", mutated)
         report = diff_pair("comparator", seed=0, examples=25)
         assert not report.ok
         assert report.divergence.pair == "comparator"
