@@ -17,10 +17,11 @@ Key properties:
 * **Versioned** — ``CACHE_VERSION`` is folded into every key.  Bump it when
   the simulator's semantics change so old payloads are ignored, not
   misread.
-* **Plain ``.npz`` payloads** — each entry is one compressed archive written
-  through :mod:`repro.io`, holding the per-channel signals plus the run's
-  layer-change times and duration.  Labels are *not* stored: the same
-  simulated physics is reusable under any label.
+* **Plain ``.npz`` payloads** — each entry is one uncompressed archive
+  written through :mod:`repro.io`, holding the per-channel signals plus the
+  run's layer-change times and duration, and read back memory-mapped by
+  :meth:`RunCache.get_lazy`.  Labels are *not* stored: the same simulated
+  physics is reusable under any label.
 
 The cache location resolves, in order: an explicit ``directory`` argument,
 the ``REPRO_CACHE_DIR`` environment variable, and (only if asked via
@@ -44,7 +45,6 @@ __all__ = [
     "CACHE_VERSION",
     "CACHE_ENV_VAR",
     "RunCache",
-    "RunPayload",
     "describe",
     "run_cache_key",
     "default_cache_dir",
@@ -158,9 +158,6 @@ def default_cache_dir() -> Path:
     return base / "repro-nsync"
 
 
-#: (signals, layer_times, duration) as stored per cache entry.
-RunPayload = Tuple[Dict[str, "object"], Tuple[float, ...], float]
-
 #: Exceptions that mean "this entry is unreadable" rather than a bug:
 #: truncated/garbage archives (``BadZipFile`` is *not* an ``OSError``),
 #: missing members, and malformed npy headers all behave like a miss.
@@ -241,24 +238,25 @@ class RunCache:
         self.hits += 1
         return payload
 
-    def get(self, key: str) -> Optional[RunPayload]:
-        """Load a payload eagerly, or ``None`` (a miss) if absent."""
-        from .io import load_run_payload
-
-        return self._load(key, load_run_payload)
-
     def get_lazy(self, key: str):
         """A :class:`~repro.io.LazyRunPayload` handle, or ``None`` (a miss).
 
-        The handle reads only the archive metadata up front; channel arrays
-        are memory-mapped on first access.  Corrupt entries are removed and
-        miss, exactly like :meth:`get` — though corruption *past* the
-        metadata (a torn sample array with an intact zip directory) can
-        only surface later, when the bad pages are actually touched.
+        The handle reads only the archive metadata up front and opens every
+        channel's sample array as a memmap, without reading samples.  Both
+        happen inside the corrupt-entry guard: an unreadable archive, or a
+        channel member that cannot be opened (a torn npy header fails its
+        zip CRC on the fallback read), is removed and counts as a miss.
+        Corruption inside a memmapped sample array can only surface later,
+        when the bad pages are actually touched.
         """
         from .io import LazyRunPayload
 
-        return self._load(key, LazyRunPayload)
+        def open_payload(path: Path) -> LazyRunPayload:
+            handle = LazyRunPayload(path)
+            handle.signals()
+            return handle
+
+        return self._load(key, open_payload)
 
     def put(self, key: str, signals, layer_times, duration) -> Path:
         """Store one simulated run under its content address.

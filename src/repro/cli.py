@@ -458,32 +458,21 @@ def _campaign_sizes(args: argparse.Namespace) -> Dict[str, int]:
     }
 
 
-def _peak_rss_mb() -> float:
-    """Peak resident set size of this process in MiB (Linux: KB units)."""
-    import resource
+def _append_bench_record(path: str, record: Dict[str, object]) -> Path:
+    """Append to a BENCH_*.json history; a damaged one exits cleanly."""
+    from .eval.throughput import append_bench_record
 
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-
-
-def _append_bench_record(path: str, record: Dict[str, object]) -> None:
-    """Append one record to a BENCH_*.json append-only history list."""
-    import json
-
-    out = Path(path)
-    history = []
-    if out.exists():
-        history = json.loads(out.read_text())
-        if not isinstance(history, list):
-            raise SystemExit(f"repro: {out} is not a JSON list history")
-    history.append(record)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(history, indent=2) + "\n")
+    try:
+        return append_bench_record(Path(path), record)
+    except ValueError as exc:
+        raise SystemExit(f"repro: {exc}") from None
 
 
 def cmd_campaign(args: argparse.Namespace) -> int:
     import time
 
     from .eval import format_ids_table, generate_campaign, nsync_results
+    from .eval.throughput import peak_rss_mb
 
     sizes = _campaign_sizes(args)
     setup = _setup_for(args.printer, args.height)
@@ -542,7 +531,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
                     .replace(".", ""),
             "time": time.strftime("%Y-%m-%dT%H:%M:%S"),
             "wall_clock_s": round(wall_clock_s, 3),
-            "peak_rss_mb": round(_peak_rss_mb(), 1),
+            "peak_rss_mb": round(peak_rss_mb(), 1),
             "workers": engine.workers,
             "cpu_count": os.cpu_count(),
             "simulated": s.simulated,
@@ -903,16 +892,7 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
             f"(cores_used={cores_used})"
         )
     if args.bench_out:
-        path = Path(args.bench_out)
-        history = []
-        if path.exists():
-            try:
-                history = json.loads(path.read_text())
-            except ValueError:
-                history = []
-        history.append(record)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(history, indent=2) + "\n")
+        path = _append_bench_record(args.bench_out, record)
         print(f"bench record appended to {path}", file=sys.stderr)
     if result.mismatches:
         shown = ", ".join(result.mismatches[:8])

@@ -5,13 +5,19 @@ The paper performed 151 benign and 100 malicious prints per printer
 configurable (much smaller by default) scale: one reference run, a training
 set for OCC, a benign test set, and ``n_attack_runs`` runs of each Table I
 attack — every run with fresh time noise and fresh sensor noise.
+
+A :class:`Campaign` is that ordered request plan plus the engine that
+executes it: its role views and :meth:`Campaign.iter_runs` resolve runs
+through :class:`~repro.eval.engine.CampaignEngine` on demand, or index the
+runs of one ``execute`` pass when the campaign was materialized.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import (
+    TYPE_CHECKING,
     Dict,
     Iterable,
     Iterator,
@@ -34,11 +40,13 @@ from ..slicer.models import gear_outline
 from ..slicer.slicer import SlicerConfig
 from ..sync.dwm import DwmParams, RM3_DWM_PARAMS, UM3_DWM_PARAMS
 
+if TYPE_CHECKING:  # the engine imports this module
+    from .engine import CampaignEngine, RunRequest
+
 __all__ = [
     "PrinterSetup",
     "ProcessRun",
     "Campaign",
-    "CampaignPlan",
     "campaign_requests",
     "default_setup",
     "generate_campaign",
@@ -76,72 +84,19 @@ class ProcessRun:
     duration: float
 
 
-@dataclass(frozen=True)
-class CampaignPlan:
-    """Everything needed to (re-)execute a campaign's runs on demand.
-
-    The lazy backing of :class:`Campaign`: the ordered request list plus
-    the engine/DAQ to execute it through.  With a warm
-    :class:`~repro.cache.RunCache` behind the engine, "executing" a run is
-    a metadata read + memmap open, so a plan-backed campaign can be swept
-    over many times (one pass per evaluation cell) without ever holding
-    more than one run's working set in memory.
-    """
-
-    setup: PrinterSetup
-    requests: Tuple["RunRequest", ...]  # noqa: F821 - engine import cycle
-    attack_names: Tuple[str, ...]
-    n_train: int
-    n_benign_test: int
-    n_attack_runs: int
-    channels: Optional[Tuple[str, ...]]
-    engine: object  # CampaignEngine (kept loose: engine imports dataset)
-    daq: DataAcquisition
-
-    def run_at(self, index: int) -> ProcessRun:
-        """Execute (typically: load from cache) one run by stream index."""
-        pair = next(
-            iter(
-                self.engine.iter_execute(
-                    [self.requests[index]],
-                    daq=self.daq,
-                    channels=self.channels,
-                )
-            )
-        )
-        return pair[1]
-
-    def iter_runs(self) -> Iterator[Tuple[str, ProcessRun]]:
-        """Stream every run, in order, tagged with its campaign role."""
-        stream = self.engine.iter_execute(
-            self.requests, daq=self.daq, channels=self.channels
-        )
-        for index, (_request, run) in enumerate(stream):
-            yield self.role_of(index), run
-
-    def role_of(self, index: int) -> str:
-        """The campaign role of stream position ``index``."""
-        if index == 0:
-            return "reference"
-        if index <= self.n_train:
-            return "training"
-        if index <= self.n_train + self.n_benign_test:
-            return "benign"
-        return "malicious"
-
-
 class _RunView(Sequence):
-    """A read-only run sequence backed by a :class:`CampaignPlan` slice.
+    """A read-only run sequence over one role's slice of a campaign.
 
-    Indexing executes exactly the requested run through the plan's engine
-    (a cache hit on any warmed campaign); nothing is retained between
-    accesses, so iterating a view never accumulates run payloads.
+    Indexing resolves exactly the requested run through
+    :meth:`Campaign.run_at`; a campaign that does not hold its runs retains
+    nothing between accesses, so iterating a view never accumulates run
+    payloads.
     """
 
-    __slots__ = ("_plan", "_start", "_count")
+    __slots__ = ("_campaign", "_start", "_count")
 
-    def __init__(self, plan: CampaignPlan, start: int, count: int) -> None:
-        self._plan = plan
+    def __init__(self, campaign: "Campaign", start: int, count: int) -> None:
+        self._campaign = campaign
         self._start = start
         self._count = count
 
@@ -155,101 +110,91 @@ class _RunView(Sequence):
             index += self._count
         if not 0 <= index < self._count:
             raise IndexError(index)
-        return self._plan.run_at(self._start + index)
+        return self._campaign.run_at(self._start + index)
 
     def __repr__(self) -> str:
         return f"_RunView({self._count} runs @ {self._start})"
 
 
+@dataclass(eq=False)
 class Campaign:
     """The full dataset for one printer: Table I at configurable scale.
 
-    Two backings share this one interface:
+    A campaign is its ordered run requests — the reference, ``n_train``
+    training runs, ``n_benign_test`` benign test runs, then
+    ``n_attack_runs`` runs of each attack in ``attack_names`` — plus the
+    engine, DAQ and channels that execute them.  ``training`` /
+    ``benign_test`` / ``malicious_test`` are views over that layout, and
+    :meth:`iter_runs` streams the whole campaign in order.
 
-    * **Eager** — constructed with materialized runs (the historical
-      shape): ``Campaign(setup, reference=..., training=...,
-      benign_test=..., malicious_test=...)``.
-    * **Lazy** — constructed from a :class:`CampaignPlan`
-      (``Campaign(setup, plan=plan)``, via
-      ``generate_campaign(..., materialize=False)``): ``training`` /
-      ``benign_test`` / ``malicious_test`` become on-demand views that
-      execute runs through the plan's engine as they are indexed, and
-      :meth:`iter_runs` streams the whole campaign through
-      :meth:`~repro.eval.engine.CampaignEngine.iter_execute` without ever
-      materializing it.
-
-    Existing call sites (``campaign.benign_test[0]``,
-    ``for run in campaign.training``, ``campaign.all_malicious()``) work
-    identically on both.
+    A run is resolved through the engine when it is asked for (a cache hit
+    on any warmed campaign), unless ``runs`` holds the campaign's runs from
+    one :meth:`~repro.eval.engine.CampaignEngine.execute` pass
+    (``generate_campaign(..., materialize=True)``); then the views index
+    those instead.
     """
 
-    def __init__(
-        self,
-        setup: PrinterSetup,
-        reference: Optional[ProcessRun] = None,
-        training: Sequence[ProcessRun] = (),
-        benign_test: Sequence[ProcessRun] = (),
-        malicious_test: Optional[Dict[str, Tuple[ProcessRun, ...]]] = None,
-        *,
-        plan: Optional[CampaignPlan] = None,
-    ) -> None:
-        self.setup = setup
-        self.plan = plan
-        self._reference = reference
-        if plan is None:
-            if reference is None:
-                raise TypeError(
-                    "an eager Campaign needs a reference run "
-                    "(or pass plan=... for a lazy campaign)"
-                )
-            self._training: Sequence[ProcessRun] = tuple(training)
-            self._benign_test: Sequence[ProcessRun] = tuple(benign_test)
-            self._malicious_test: Dict[str, Sequence[ProcessRun]] = dict(
-                malicious_test or {}
-            )
-        else:
-            n_train, n_test = plan.n_train, plan.n_benign_test
-            self._training = _RunView(plan, 1, n_train)
-            self._benign_test = _RunView(plan, 1 + n_train, n_test)
-            cursor = 1 + n_train + n_test
-            views: Dict[str, Sequence[ProcessRun]] = {}
-            for name in plan.attack_names:
-                views[name] = _RunView(plan, cursor, plan.n_attack_runs)
-                cursor += plan.n_attack_runs
-            self._malicious_test = views
+    setup: PrinterSetup
+    requests: Tuple[RunRequest, ...] = field(repr=False)
+    attack_names: Tuple[str, ...]
+    n_train: int
+    n_benign_test: int
+    n_attack_runs: int
+    channels: Tuple[str, ...]
+    engine: CampaignEngine = field(repr=False)
+    daq: DataAcquisition = field(repr=False)
+    runs: Optional[Tuple[ProcessRun, ...]] = field(default=None, repr=False)
+    _reference: Optional[ProcessRun] = field(
+        default=None, init=False, repr=False
+    )
 
-    # -- the historical attribute surface ----------------------------------
+    def run_at(self, index: int) -> ProcessRun:
+        """The run at stream position ``index`` (held, or executed)."""
+        if self.runs is not None:
+            return self.runs[index]
+        [(_request, run)] = self.engine.iter_execute(
+            [self.requests[index]], daq=self.daq, channels=self.channels
+        )
+        return run
+
+    def role_of(self, index: int) -> str:
+        """The campaign role of stream position ``index``."""
+        if index == 0:
+            return "reference"
+        if index <= self.n_train:
+            return "training"
+        if index <= self.n_train + self.n_benign_test:
+            return "benign"
+        return "malicious"
+
     @property
     def reference(self) -> ProcessRun:
         if self._reference is None:
-            # Memoized: the reference anchors every evaluation pass, so a
-            # lazy campaign resolves it once (a cache hit when warmed).
-            self._reference = self.plan.run_at(0)
+            # Memoized: the reference anchors every evaluation pass, so it
+            # is resolved once (a cache hit when warmed).
+            self._reference = self.run_at(0)
         return self._reference
 
     @property
     def training(self) -> Sequence[ProcessRun]:
-        return self._training
+        return _RunView(self, 1, self.n_train)
 
     @property
     def benign_test(self) -> Sequence[ProcessRun]:
-        return self._benign_test
+        return _RunView(self, 1 + self.n_train, self.n_benign_test)
 
     @property
     def malicious_test(self) -> Dict[str, Sequence[ProcessRun]]:
-        return self._malicious_test
-
-    @property
-    def channels(self) -> Tuple[str, ...]:
-        return tuple(self.reference.signals)
-
-    @property
-    def n_benign_test(self) -> int:
-        return len(self.benign_test)
+        cursor = 1 + self.n_train + self.n_benign_test
+        views: Dict[str, Sequence[ProcessRun]] = {}
+        for name in self.attack_names:
+            views[name] = _RunView(self, cursor, self.n_attack_runs)
+            cursor += self.n_attack_runs
+        return views
 
     @property
     def n_malicious_test(self) -> int:
-        return sum(len(runs) for runs in self.malicious_test.values())
+        return len(self.attack_names) * self.n_attack_runs
 
     def all_malicious(self) -> List[ProcessRun]:
         out: List[ProcessRun] = []
@@ -257,27 +202,27 @@ class Campaign:
             out.extend(runs)
         return out
 
-    # -- streaming ---------------------------------------------------------
     def iter_runs(self) -> Iterator[Tuple[str, ProcessRun]]:
         """Stream ``(role, run)`` over the whole campaign, in order.
 
         Roles are ``"reference"``, ``"training"``, ``"benign"``, and
         ``"malicious"`` — emitted in exactly that order, so a streaming
         consumer can finish training before the first test run arrives.
-        A lazy campaign streams through the engine (each run held only for
-        its own iteration); an eager one yields its stored runs.
+        Unless the campaign holds its runs, they stream through
+        :meth:`~repro.eval.engine.CampaignEngine.iter_execute`, each held
+        only for its own iteration.
         """
-        if self.plan is not None:
-            yield from self.plan.iter_runs()
-            return
-        yield "reference", self.reference
-        for run in self.training:
-            yield "training", run
-        for run in self.benign_test:
-            yield "benign", run
-        for runs in self.malicious_test.values():
-            for run in runs:
-                yield "malicious", run
+        if self.runs is not None:
+            runs: Iterable[ProcessRun] = self.runs
+        else:
+            runs = (
+                run
+                for _request, run in self.engine.iter_execute(
+                    self.requests, daq=self.daq, channels=self.channels
+                )
+            )
+        for index, run in enumerate(runs):
+            yield self.role_of(index), run
 
 
 def default_setup(
@@ -374,7 +319,7 @@ def campaign_requests(
     attacks: Optional[Iterable[Attack]] = None,
     n_attack_runs: int = 2,
     seed: int = 0,
-) -> Tuple[Tuple["RunRequest", ...], Tuple[str, ...]]:  # noqa: F821
+) -> Tuple[Tuple[RunRequest, ...], Tuple[str, ...]]:
     """Build the ordered campaign request list with seeds pre-assigned.
 
     Returns ``(requests, attack_names)``.  Seeds come from an *unbounded*
@@ -440,12 +385,13 @@ def generate_campaign(
     cache/pool and read back its ``stats``; it overrides
     ``workers``/``cache``.
 
-    ``materialize=False`` returns a *lazy* campaign backed by a
-    :class:`CampaignPlan`: no run is executed up front, and evaluation
-    passes stream runs through the engine one at a time
-    (:meth:`Campaign.iter_runs`).  Attach a cache when the campaign will
-    be swept more than once — each pass re-resolves runs through the
-    engine, which is only cheap when it hits.
+    With ``materialize=True`` (the default) the campaign keeps the runs of
+    one :meth:`~repro.eval.engine.CampaignEngine.execute` pass; warm cache
+    hits among them are memmap-backed.  ``materialize=False`` executes
+    nothing up front: evaluation passes stream runs through the engine one
+    at a time (:meth:`Campaign.iter_runs`).  Attach a cache when such a
+    campaign will be swept more than once — each pass re-resolves runs
+    through the engine, which is only cheap when it hits.
     """
     from .engine import CampaignEngine
 
@@ -462,33 +408,21 @@ def generate_campaign(
         seed=seed,
     )
     engine = engine or CampaignEngine(workers=workers, cache=cache)
-    plan = CampaignPlan(
+    wanted = tuple(channels) if channels is not None else daq.channel_ids
+    runs = (
+        tuple(engine.execute(requests, daq=daq, channels=wanted))
+        if materialize
+        else None
+    )
+    return Campaign(
         setup=setup,
         requests=requests,
         attack_names=attack_names,
         n_train=n_train,
         n_benign_test=n_benign_test,
         n_attack_runs=n_attack_runs,
-        channels=tuple(channels) if channels is not None else None,
+        channels=wanted,
         engine=engine,
         daq=daq,
-    )
-    if not materialize:
-        return Campaign(setup, plan=plan)
-
-    runs = engine.execute(requests, daq=daq, channels=channels)
-    reference = runs[0]
-    training = tuple(runs[1 : 1 + n_train])
-    benign_test = tuple(runs[1 + n_train : 1 + n_train + n_benign_test])
-    malicious: Dict[str, Tuple[ProcessRun, ...]] = {}
-    cursor = 1 + n_train + n_benign_test
-    for name in attack_names:
-        malicious[name] = tuple(runs[cursor : cursor + n_attack_runs])
-        cursor += n_attack_runs
-    return Campaign(
-        setup=setup,
-        reference=reference,
-        training=training,
-        benign_test=benign_test,
-        malicious_test=malicious,
+        runs=runs,
     )

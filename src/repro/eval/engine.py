@@ -22,13 +22,12 @@ The engine is the single chokepoint through which
 ``report`` commands, and the benchmark harness all execute runs, so cached
 campaigns are shared across every consumer.
 
-Two execution modes share one implementation: :meth:`CampaignEngine.execute`
-collects every run into a list (the historical API, bit-identical), while
-:meth:`CampaignEngine.iter_execute` *streams* ``(request, run)`` pairs in
-request order as workers finish — cache hits arrive as memmap-backed lazy
-payloads, misses fan out over a persistent pool under a bounded in-flight
-window, and a consumer that aggregates incrementally holds O(1) runs in
-memory no matter how large the campaign is.
+One data path serves every consumer: :meth:`CampaignEngine.iter_execute`
+*streams* ``(request, run)`` pairs in request order as workers finish —
+cache hits arrive as memmap-backed payloads, misses fan out over a
+persistent pool under a bounded in-flight window, and a consumer that
+aggregates incrementally holds O(1) runs in memory no matter how large the
+campaign is.  :meth:`CampaignEngine.execute` is the collect-all over it.
 """
 
 from __future__ import annotations
@@ -177,15 +176,14 @@ class CampaignEngine:
     ) -> List[ProcessRun]:
         """Run every request; results keep the order of ``requests``.
 
-        Collect-all wrapper over :meth:`iter_execute` with eager (fully
-        decoded) cache payloads — bit-identical results to the historical
-        batch implementation under any worker count.
+        Collect-all over :meth:`iter_execute`: bit-identical results under
+        any worker count, with warm cache hits memmap-backed.
         """
         with obs.trace("repro.eval.engine.execute"):
             return [
                 run
                 for _, run in self.iter_execute(
-                    requests, daq=daq, channels=channels, lazy=False
+                    requests, daq=daq, channels=channels
                 )
             ]
 
@@ -194,29 +192,23 @@ class CampaignEngine:
         requests: Sequence[RunRequest],
         daq: Optional[DataAcquisition] = None,
         channels: Optional[Sequence[str]] = None,
-        *,
-        lazy: bool = True,
-        window: Optional[int] = None,
     ) -> Iterator[Tuple[RunRequest, ProcessRun]]:
         """Stream ``(request, run)`` pairs in request order as they finish.
 
-        The streaming execution mode: results are yielded one at a time,
-        so a consumer that aggregates incrementally holds O(1) runs in
-        memory regardless of campaign size.  With ``lazy=True`` (the
-        default) cache hits come back as memmap-backed
-        :class:`~repro.eval.dataset.ProcessRun` objects — opening a hit
+        Results are yielded one at a time, so a consumer that aggregates
+        incrementally holds O(1) runs in memory regardless of campaign
+        size.  Cache hits come back as memmap-backed
+        :class:`~repro.eval.dataset.ProcessRun` objects: opening a hit
         costs metadata only, and samples page in as the consumer touches
-        them.  ``lazy=False`` decodes hits eagerly (what :meth:`execute`
-        uses).
+        them.
 
         With ``workers >= 2`` misses fan out over the engine's persistent
-        pool under a bounded in-flight window (default ``2 * workers``):
-        at most ``window`` simulations are queued or running at once, so a
-        slow consumer exerts backpressure instead of letting results pile
-        up.  Cache lookups always happen in the calling process, and yield
-        order is request order regardless of completion order — the seeds
-        were pre-assigned, so the stream is bit-identical to the serial
-        path.
+        pool under a bounded in-flight window of ``2 * workers``
+        simulations queued or running at once, so a slow consumer exerts
+        backpressure instead of letting results pile up.  Cache lookups
+        always happen in the calling process, and yield order is request
+        order regardless of completion order — the seeds were
+        pre-assigned, so the stream is bit-identical to the serial path.
 
         The per-task ``queue_wait_s`` histogram observes submit-to-result
         latency for simulated runs; ``engine_run`` events are emitted as
@@ -238,11 +230,11 @@ class CampaignEngine:
         try:
             if self.workers >= 2 and len(requests) > 1:
                 yield from self._iter_pooled(
-                    requests, daq, wanted, lazy, window, emit, record
+                    requests, daq, wanted, emit, record
                 )
             else:
                 yield from self._iter_serial(
-                    requests, daq, wanted, lazy, emit, record
+                    requests, daq, wanted, emit, record
                 )
         finally:
             elapsed = time.perf_counter() - t0
@@ -263,7 +255,6 @@ class CampaignEngine:
         request: RunRequest,
         daq: DataAcquisition,
         wanted: Optional[Tuple[str, ...]],
-        lazy: bool,
         emit: bool,
     ) -> Tuple[Optional[str], Optional[ProcessRun]]:
         """Resolve one request against the cache (never reaches a worker)."""
@@ -279,27 +270,14 @@ class CampaignEngine:
                 request.seed,
             )
             with obs.trace("cache_lookup"):
-                if lazy:
-                    handle = self.cache.get_lazy(key)
-                    payload = (
-                        None
-                        if handle is None
-                        else (
-                            handle.signals(),
-                            handle.layer_times,
-                            handle.duration,
-                        )
-                    )
-                else:
-                    payload = self.cache.get(key)
-            if payload is not None:
-                signals, layer_times, duration = payload
+                handle = self.cache.get_lazy(key)
+            if handle is not None:
                 run = ProcessRun(
                     label=request.label,
                     is_malicious=request.is_malicious,
-                    signals=signals,
-                    layer_times=layer_times,
-                    duration=duration,
+                    signals=handle.signals(),
+                    layer_times=handle.layer_times,
+                    duration=handle.duration,
                 )
                 self.stats.cache_hits += 1
                 obs.counter("repro.eval.engine.cache_hits").inc()
@@ -331,10 +309,10 @@ class CampaignEngine:
         return run
 
     def _iter_serial(
-        self, requests, daq, wanted, lazy, emit, record
+        self, requests, daq, wanted, emit, record
     ) -> Iterator[Tuple[RunRequest, ProcessRun]]:
         for i, request in enumerate(requests):
-            key, run = self._lookup(i, request, daq, wanted, lazy, emit)
+            key, run = self._lookup(i, request, daq, wanted, emit)
             if run is None:
                 t_task = time.perf_counter()
                 # record=False: the serial path runs in-process, so metrics
@@ -351,9 +329,9 @@ class CampaignEngine:
             yield request, run
 
     def _iter_pooled(
-        self, requests, daq, wanted, lazy, window, emit, record
+        self, requests, daq, wanted, emit, record
     ) -> Iterator[Tuple[RunRequest, ProcessRun]]:
-        window = window if window else max(2 * self.workers, 2)
+        window = max(2 * self.workers, 2)
         buffer_cap = max(2 * window, 8)
         pool = self._ensure_pool()
         # Entries keep request order: (request, hit-run-or-None, miss-info).
@@ -371,7 +349,7 @@ class CampaignEngine:
                 i = cursor
                 cursor += 1
                 request = requests[i]
-                key, run = self._lookup(i, request, daq, wanted, lazy, emit)
+                key, run = self._lookup(i, request, daq, wanted, emit)
                 if run is not None:
                     pending.append((request, run, None))
                     continue

@@ -62,6 +62,8 @@ __all__ = [
     "measure_engine_throughput",
     "count_hot_path_obs_calls",
     "load_baseline_record",
+    "append_bench_record",
+    "peak_rss_mb",
     "render_comparison",
 ]
 
@@ -431,6 +433,35 @@ def load_baseline_record(path: Path) -> Optional[Dict[str, object]]:
         if isinstance(record, dict) and record.get("name") == RECORD_NAME:
             return record
     return None
+
+
+def append_bench_record(path: Path, record: Dict[str, object]) -> Path:
+    """Append one record to a ``BENCH_*.json`` history; returns the path.
+
+    A history is a JSON list of records.  A missing file starts a new one.
+    A file that does not parse as a JSON list raises ``ValueError`` and is
+    left byte-identical: a damaged history is never silently replaced.
+    """
+    out = Path(path)
+    history: List[object] = []
+    if out.exists():
+        try:
+            history = json.loads(out.read_text())
+        except ValueError as exc:
+            raise ValueError(f"{out} is not a JSON list history ({exc})") from None
+        if not isinstance(history, list):
+            raise ValueError(f"{out} is not a JSON list history")
+    history.append(record)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(json.dumps(history, indent=2) + "\n")
+    return out
+
+
+def peak_rss_mb() -> float:
+    """Peak resident set size of this process in MiB (Linux: KB units)."""
+    import resource
+
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
 def render_comparison(

@@ -28,7 +28,6 @@ __all__ = [
     "save_signals",
     "load_signals",
     "save_run_payload",
-    "load_run_payload",
     "LazyRunPayload",
     "save_thresholds",
     "load_thresholds",
@@ -116,19 +115,6 @@ def save_run_payload(
     np.savez(Path(path), **payload)
 
 
-def load_run_payload(path: PathLike):
-    """Read a run written by :func:`save_run_payload`, eagerly.
-
-    Returns ``(signals, layer_times, duration)`` with ``signals`` a
-    ``{channel_id: Signal}`` dict in the order it was saved.  This is the
-    materializing wrapper around :class:`LazyRunPayload`: every channel is
-    decoded into plain in-memory arrays, so the returned payload holds no
-    file handles.
-    """
-    with LazyRunPayload(path) as payload:
-        return payload.materialize()
-
-
 @dataclass(frozen=True)
 class _NpyMember:
     """Location of one uncompressed ``.npy`` member inside the archive."""
@@ -172,7 +158,7 @@ class LazyRunPayload:
 
     Compressed or exotic members (a payload produced by some future writer)
     transparently fall back to an eager in-memory read, so the handle is
-    correct for any archive the eager loader accepts.
+    correct for any archive ``np.load`` accepts.
 
     Context-managed; :meth:`close` drops the handle's internal caches.
     ``Signal`` objects already handed out stay valid — each memmap owns
@@ -285,21 +271,18 @@ class LazyRunPayload:
     def signals(
         self, channels: Optional[Sequence[str]] = None
     ) -> Dict[str, Signal]:
-        """Channel dict in saved order (all channels by default)."""
-        wanted = tuple(channels) if channels is not None else self.channels
-        return {channel_id: self.signal(channel_id) for channel_id in wanted}
+        """Channel dict in saved order (all channels by default).
 
-    def materialize(self):
-        """Decode everything into plain arrays: the eager ``RunPayload``."""
-        signals: Dict[str, Signal] = {}
-        for channel_id in self.channels:
-            lazy = self.signal(channel_id)
-            signals[channel_id] = Signal(
-                np.array(lazy.data, dtype=np.float64),
-                lazy.sample_rate,
-                channel_names=lazy.channel_names,
-            )
-        return signals, self.layer_times, self.duration
+        Only channels not open yet go through :meth:`signal`, so each
+        channel is opened, and counted by a tracer wrapping :meth:`signal`,
+        once per handle, although ``RunCache.get_lazy`` has already opened
+        them all before its caller asks again.
+        """
+        wanted = tuple(channels) if channels is not None else self.channels
+        for channel_id in wanted:
+            if channel_id not in self._signals:
+                self.signal(channel_id)
+        return {channel_id: self._signals[channel_id] for channel_id in wanted}
 
     # -- lifecycle ---------------------------------------------------------
     def close(self) -> None:

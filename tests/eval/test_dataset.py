@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.cache import RunCache
 from repro.eval import default_setup, generate_campaign
 from repro.printer import ROSTOCK_MAX_V3, ULTIMAKER3
 
@@ -31,7 +32,37 @@ class TestDefaultSetup:
         assert len(job.program) > 10
 
 
+#: The shape of the shared ``mini_campaign`` fixture (tests/conftest.py).
+MINI_KW = dict(
+    channels=("ACC",), n_train=3, n_benign_test=3, n_attack_runs=1, seed=42
+)
+
+
+@pytest.fixture(scope="module")
+def warm_mini_cache(tmp_path_factory):
+    """A RunCache holding every run of the ``mini_campaign`` fixture."""
+    cache = RunCache(tmp_path_factory.mktemp("mini-cache"))
+    generate_campaign(
+        default_setup("UM3", object_height=0.4), cache=cache, **MINI_KW
+    )
+    return cache
+
+
+def _memmap_backed(array) -> bool:
+    while isinstance(array, np.ndarray) and not isinstance(array, np.memmap):
+        array = array.base
+    return isinstance(array, np.memmap)
+
+
 class TestCampaign(object):
+    """The campaign views over a materialized campaign (the default).
+
+    :class:`TestLazyCampaign` runs every case again over a
+    ``materialize=False`` campaign.
+    """
+
+    materialize = True
+
     def test_structure(self, mini_campaign):
         assert mini_campaign.reference.label == "Reference"
         assert len(mini_campaign.training) == 3
@@ -64,11 +95,42 @@ class TestCampaign(object):
         # 0.4 mm object at 0.2 mm layers -> 2 layers -> 1 layer change
         assert len(mini_campaign.reference.layer_times) == 1
 
+    def test_view_semantics(self, mini_campaign):
+        training = mini_campaign.training
+        assert len(training) == 3
+        last = training[2].signals["ACC"].data
+        assert np.array_equal(training[-1].signals["ACC"].data, last)
+        tail = training[1:]
+        assert len(tail) == 2
+        assert np.array_equal(tail[-1].signals["ACC"].data, last)
+        assert training[5:] == []
+        for index in (3, -4):
+            with pytest.raises(IndexError):
+                training[index]
+        assert len(mini_campaign.malicious_test["Void"]) == 1
+
+    def test_role_layout(self, mini_campaign):
+        n = len(mini_campaign.requests)
+        roles = [mini_campaign.role_of(i) for i in range(n)]
+        assert roles[0] == "reference"
+        assert roles[1:4] == ["training"] * 3
+        assert roles[4:7] == ["benign"] * 3
+        assert roles[7:] == ["malicious"] * 5
+
+    def test_iter_runs_follows_role_of(self, mini_campaign):
+        streamed = list(mini_campaign.iter_runs())
+        assert [role for role, _ in streamed] == [
+            mini_campaign.role_of(i) for i in range(len(streamed))
+        ]
+        assert [run.label for _, run in streamed] == [
+            request.label for request in mini_campaign.requests
+        ]
+
     def test_reproducible_with_same_seed(self):
         setup = default_setup("UM3", object_height=0.4)
         kwargs = dict(
             channels=("ACC",), n_train=1, n_benign_test=1, n_attack_runs=1,
-            seed=7,
+            seed=7, materialize=self.materialize,
         )
         a = generate_campaign(setup, **kwargs)
         b = generate_campaign(setup, **kwargs)
@@ -80,6 +142,7 @@ class TestCampaign(object):
         setup = default_setup("UM3", object_height=0.4)
         kwargs = dict(
             channels=("ACC",), n_train=0, n_benign_test=0, n_attack_runs=0,
+            materialize=self.materialize,
         )
         a = generate_campaign(setup, seed=1, **kwargs)
         b = generate_campaign(setup, seed=2, **kwargs)
@@ -87,6 +150,44 @@ class TestCampaign(object):
             a.reference.signals["ACC"].data[:1000],
             b.reference.signals["ACC"].data[:1000],
         )
+
+
+class TestLazyCampaign(TestCampaign):
+    """Every :class:`TestCampaign` case over a ``materialize=False`` one."""
+
+    materialize = False
+
+    @pytest.fixture
+    def mini_campaign(self, warm_mini_cache):
+        return generate_campaign(
+            default_setup("UM3", object_height=0.4),
+            cache=warm_mini_cache,
+            materialize=False,
+            **MINI_KW,
+        )
+
+
+class TestWarmMaterializedCampaign:
+    def test_memmap_backed_and_equal_to_cold(
+        self, mini_campaign, warm_mini_cache
+    ):
+        warm = generate_campaign(
+            default_setup("UM3", object_height=0.4),
+            cache=warm_mini_cache,
+            **MINI_KW,
+        )
+        assert warm.engine.stats.simulated == 0
+        cold_runs = [run for _, run in mini_campaign.iter_runs()]
+        warm_runs = [run for _, run in warm.iter_runs()]
+        assert len(warm_runs) == len(cold_runs) == 12
+        for cold, hit in zip(cold_runs, warm_runs):
+            assert _memmap_backed(hit.signals["ACC"].data)
+            assert not _memmap_backed(cold.signals["ACC"].data)
+            assert hit.label == cold.label
+            assert hit.layer_times == cold.layer_times
+            assert np.array_equal(
+                hit.signals["ACC"].data, cold.signals["ACC"].data
+            )
 
 
 class TestReferenceFromGcode:

@@ -2,9 +2,9 @@
 
 These tests pin the two contracts the scale-out refactor rests on:
 
-* **Equivalence** — a lazy, plan-backed campaign streamed through the
-  incremental accumulators produces *float-for-float* the same tables as
-  the historical eager path (confusion counts are commutative sums).
+* **Equivalence** — a ``materialize=False`` campaign streamed through
+  the incremental accumulators produces *float-for-float* the same tables
+  as a materialized one (confusion counts are commutative sums).
 * **Boundedness** — streamed evaluation peak memory is governed by one
   run's working set, not by the campaign size.
 """
@@ -242,14 +242,3 @@ class TestSeedStream:
             7 * 1_000_003 + i for i in range(len(requests))
         ]
 
-
-class TestCampaignPlanRoles:
-    def test_role_layout(self, setup, attacks, warm_cache):
-        _, lazy = _campaigns(setup, attacks, warm_cache)
-        plan = lazy.plan
-        n = len(plan.requests)
-        roles = [plan.role_of(i) for i in range(n)]
-        assert roles[0] == "reference"
-        assert roles[1:3] == ["training"] * 2
-        assert roles[3:5] == ["benign"] * 2
-        assert roles[5:] == ["malicious"] * (n - 5)

@@ -10,6 +10,7 @@ from repro.eval.throughput import (
     RECORD_NAME,
     ThroughputWorkload,
     _ObsProbe,
+    append_bench_record,
     count_hot_path_obs_calls,
     load_baseline_record,
     measure_engine_throughput,
@@ -135,3 +136,30 @@ class TestBaseline:
         other_machine = dict(record, cpu_count=-1)
         cross = render_comparison(record, other_machine)
         assert "different machine" in cross
+
+
+class TestAppendBenchRecord:
+    def test_missing_file_starts_history(self, tmp_path):
+        path = tmp_path / "results" / "BENCH_x.json"
+        assert append_bench_record(path, {"name": "a"}) == path
+        append_bench_record(path, {"name": "b"})
+        assert json.loads(path.read_text()) == [{"name": "a"}, {"name": "b"}]
+
+    @pytest.mark.parametrize(
+        "content", [b"{broken", b"", b'{"name": "a"}', b"\xff\xfe"]
+    )
+    def test_non_list_history_raises_and_is_untouched(self, tmp_path, content):
+        path = tmp_path / "BENCH_x.json"
+        path.write_bytes(content)
+        with pytest.raises(ValueError, match="not a JSON list history"):
+            append_bench_record(path, {"name": "new"})
+        assert path.read_bytes() == content
+
+    def test_cli_bench_out_refuses_damaged_history(self, tmp_path):
+        from repro.cli import _append_bench_record
+
+        path = tmp_path / "BENCH_x.json"
+        path.write_text("[{]")
+        with pytest.raises(SystemExit, match="^repro: .*not a JSON list"):
+            _append_bench_record(str(path), {"name": "new"})
+        assert path.read_text() == "[{]"

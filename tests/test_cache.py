@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import struct
 import unittest.mock
+import zipfile
 from dataclasses import replace
 
 import numpy as np
@@ -105,36 +107,6 @@ class TestRunCache:
         }
         return signals, (0.5, 1.25), 2.0
 
-    def test_round_trip(self, tmp_path):
-        cache = RunCache(tmp_path)
-        signals, layer_times, duration = self._payload()
-        key = "ab" + "0" * 62
-        cache.put(key, signals, layer_times, duration)
-        assert key in cache
-        got_signals, got_layers, got_duration = cache.get(key)
-        assert got_layers == layer_times
-        assert got_duration == duration
-        assert list(got_signals) == list(signals)
-        for cid in signals:
-            assert np.array_equal(got_signals[cid].data, signals[cid].data)
-            assert got_signals[cid].sample_rate == signals[cid].sample_rate
-        assert got_signals["ACC"].channel_names == ("ax", "ay", "az")
-        assert cache.stats == {"hits": 1, "misses": 0}
-
-    def test_miss_counts(self, tmp_path):
-        cache = RunCache(tmp_path)
-        assert cache.get("ff" + "0" * 62) is None
-        assert cache.stats == {"hits": 0, "misses": 1}
-
-    def test_corrupt_entry_behaves_like_miss(self, tmp_path):
-        cache = RunCache(tmp_path)
-        key = "cd" + "0" * 62
-        path = cache.path_for(key)
-        path.parent.mkdir(parents=True)
-        path.write_bytes(b"not an npz")
-        assert cache.get(key) is None
-        assert not path.exists()
-
     def test_clear(self, tmp_path):
         cache = RunCache(tmp_path)
         signals, layers, duration = self._payload()
@@ -209,16 +181,15 @@ class TestConcurrentCache:
         reader = RunCache(tmp_path)
         try:
             while any(p.is_alive() for p in procs):
-                payload = reader.get(self.KEY)
-                if payload is not None:
-                    signals, layer_times, duration = payload
-                    assert signals["ACC"].data.shape == (40, 3)
-                    assert duration == 1.0
+                handle = reader.get_lazy(self.KEY)
+                if handle is not None:
+                    assert handle.signal("ACC").data.shape == (40, 3)
+                    assert handle.duration == 1.0
         finally:
             for p in procs:
                 p.join()
         assert all(p.exitcode == 0 for p in procs)
-        final = reader.get(self.KEY)
+        final = reader.get_lazy(self.KEY)
         assert final is not None
         assert list(tmp_path.glob("**/*.tmp.npz")) == []
 
@@ -248,7 +219,7 @@ class TestConcurrentCache:
         straggler.write_bytes(b"partial write")
         assert len(cache) == 1
         assert cache.evict(max_entries=5) == 0
-        assert cache.get(self.KEY) is not None
+        assert cache.get_lazy(self.KEY) is not None
 
 
 class TestScanRaces:
@@ -291,17 +262,26 @@ class TestGetLazy:
         rng = np.random.default_rng(5)
         cache = RunCache(tmp_path)
         key = "ab" + "1" * 62
-        signals = {"ACC": Signal(rng.standard_normal((50, 3)), 400.0)}
+        signals = {
+            "ACC": Signal(rng.standard_normal((50, 3)), 400.0,
+                          channel_names=["ax", "ay", "az"]),
+            "AUD": Signal(rng.standard_normal(80), 2000.0),
+        }
         cache.put(key, signals, (0.5, 1.0), 1.5)
+        assert key in cache
         handle = cache.get_lazy(key)
         assert handle is not None
         with handle:
-            assert handle.channels == ("ACC",)
+            assert handle.channels == ("ACC", "AUD")
             assert handle.layer_times == (0.5, 1.0)
             assert handle.duration == 1.5
-            assert np.array_equal(
-                handle.signal("ACC").data, signals["ACC"].data
-            )
+            got = handle.signals()
+            assert list(got) == list(signals)
+            for cid in signals:
+                assert np.array_equal(got[cid].data, signals[cid].data)
+                assert got[cid].sample_rate == signals[cid].sample_rate
+            assert got["ACC"].channel_names == ("ax", "ay", "az")
+            assert got["AUD"].channel_names is None
         assert cache.stats == {"hits": 1, "misses": 0}
 
     def test_miss_returns_none_and_counts(self, tmp_path):
@@ -317,3 +297,56 @@ class TestGetLazy:
         path.write_bytes(b"not an npz")
         assert cache.get_lazy(key) is None
         assert not path.exists()
+        assert cache.stats == {"hits": 0, "misses": 1}
+
+
+def _tear_npy_magic(path, member="ACC::data.npy"):
+    """Overwrite one member's npy magic in place, leaving the zip intact.
+
+    The zip directory still parses, so the archive opens; only reading
+    the member fails (its npy header no longer parses, and the fallback
+    zip read fails the member's CRC-32).
+    """
+    with zipfile.ZipFile(path) as archive:
+        info = archive.getinfo(member)
+    with open(path, "r+b") as f:
+        f.seek(info.header_offset + 26)
+        name_len, extra_len = struct.unpack("<HH", f.read(4))
+        f.seek(info.header_offset + 30 + name_len + extra_len)
+        f.write(b"XXXXXX")
+
+
+class TestTornMember:
+    def test_get_lazy_treats_torn_member_as_miss(self, tmp_path):
+        cache = RunCache(tmp_path)
+        key = "de" + "1" * 62
+        signals = {"ACC": Signal(np.ones((20, 3)), 400.0)}
+        path = cache.put(key, signals, (0.5,), 1.0)
+        _tear_npy_magic(path)
+        assert cache.get_lazy(key) is None
+        assert not path.exists()
+        assert cache.stats == {"hits": 0, "misses": 1}
+
+    def test_engine_resimulates_torn_entry(self, tmp_path):
+        from repro.eval import CampaignEngine, campaign_requests, default_setup
+
+        setup = default_setup("UM3", object_height=0.4)
+        requests, _ = campaign_requests(
+            setup, n_train=0, n_benign_test=0, attacks=[], seed=5
+        )
+        cold = CampaignEngine(cache=tmp_path).execute(
+            requests, channels=("ACC",)
+        )
+        [path] = tmp_path.glob("*/*.npz")
+        _tear_npy_magic(path)
+        engine = CampaignEngine(cache=tmp_path)
+        [(_, run)] = engine.iter_execute(requests, channels=("ACC",))
+        assert engine.stats.cache_misses == 1
+        assert engine.stats.simulated == 1
+        assert np.array_equal(
+            run.signals["ACC"].data, cold[0].signals["ACC"].data
+        )
+        # The re-simulated run was written back: the slot is whole again.
+        assert CampaignEngine(cache=tmp_path).execute(
+            requests, channels=("ACC",)
+        )[0].duration == run.duration

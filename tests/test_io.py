@@ -7,7 +7,6 @@ from repro.core import Thresholds
 from repro.io import (
     LazyRunPayload,
     load_dwm_params,
-    load_run_payload,
     load_signal,
     load_signals,
     load_thresholds,
@@ -121,22 +120,20 @@ class TestLazyRunPayload:
         }
         return signals, (0.5, 1.25, 2.0), 2.5
 
-    def test_roundtrip_matches_eager_loader(self, tmp_path):
+    def test_roundtrip_matches_saved_payload(self, tmp_path):
         signals, layer_times, duration = self._payload()
         save_run_payload(tmp_path / "run.npz", signals, layer_times, duration)
         with LazyRunPayload(tmp_path / "run.npz") as lazy:
             assert lazy.channels == ("ACC", "AUD")
             assert lazy.layer_times == layer_times
             assert lazy.duration == duration
-            got = lazy.materialize()
-        eager = load_run_payload(tmp_path / "run.npz")
-        assert got[1] == eager[1] and got[2] == eager[2]
+            got = lazy.signals()
+        assert list(got) == list(signals)
         for cid in signals:
-            assert np.array_equal(got[0][cid].data, eager[0][cid].data)
-            assert np.array_equal(got[0][cid].data, signals[cid].data)
-            assert got[0][cid].sample_rate == signals[cid].sample_rate
-        assert got[0]["ACC"].channel_names == ("ax", "ay", "az")
-        assert got[0]["AUD"].channel_names is None
+            assert np.array_equal(got[cid].data, signals[cid].data)
+            assert got[cid].sample_rate == signals[cid].sample_rate
+        assert got["ACC"].channel_names == ("ax", "ay", "az")
+        assert got["AUD"].channel_names is None
 
     def test_channel_data_is_memmap_backed(self, tmp_path):
         signals, layer_times, duration = self._payload()
