@@ -7,7 +7,12 @@ Measures the three execution regimes of the same small UM3 campaign:
 * ``warm cache``     — workers=0, cache populated (zero simulations),
   timed through one full read of every run's samples.
 
-All three produce bit-identical campaigns (asserted).  Timings and cache
+Each regime times :meth:`CampaignEngine.execute` alone.  The campaign's
+run requests (slicing the part and re-slicing it for every attack) are
+built once with :func:`campaign_requests`, outside every timed region:
+slicing is not engine work, and inside the warm timing it dominated.
+
+All three produce bit-identical runs (asserted).  Timings and cache
 stats are appended to ``benchmarks/results/BENCH_campaign.json`` so the
 perf trajectory is tracked across PRs.  The parallel-scaling assertion is
 gated on the host actually having >= 4 cores; the cache assertion holds on
@@ -23,30 +28,16 @@ import numpy as np
 
 from repro import obs
 from repro.attacks import TABLE_I_ATTACKS
-from repro.eval import CampaignEngine, default_setup, generate_campaign
+from repro.eval import CampaignEngine, campaign_requests, default_setup
 
 from conftest import record_campaign_stats
 
-CAMPAIGN_KW = dict(
-    channels=("ACC", "AUD"),
-    n_train=2,
-    n_benign_test=2,
-    n_attack_runs=1,
-    seed=11,
-)
-
-
-def _flat_runs(campaign):
-    return [
-        campaign.reference,
-        *campaign.training,
-        *campaign.benign_test,
-        *campaign.all_malicious(),
-    ]
+CHANNELS = ("ACC", "AUD")
 
 
 def _assert_identical(a, b):
-    for run_a, run_b in zip(_flat_runs(a), _flat_runs(b)):
+    assert len(a) == len(b)
+    for run_a, run_b in zip(a, b):
         assert run_a.label == run_b.label
         assert run_a.layer_times == run_b.layer_times
         for channel in run_a.signals:
@@ -57,24 +48,25 @@ def _assert_identical(a, b):
 
 def test_engine_cache_and_parallel_speedup(tmp_path):
     setup = default_setup("UM3", object_height=0.6)
-    attacks = TABLE_I_ATTACKS()
-
-    t0 = time.perf_counter()
-    serial = generate_campaign(setup, attacks=attacks, **CAMPAIGN_KW)
-    cold_serial = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    parallel = generate_campaign(
-        setup, attacks=attacks, workers=4, **CAMPAIGN_KW
+    requests, _ = campaign_requests(
+        setup,
+        attacks=TABLE_I_ATTACKS(),
+        n_train=2,
+        n_benign_test=2,
+        n_attack_runs=1,
+        seed=11,
     )
-    cold_parallel = time.perf_counter() - t0
 
+    def timed(engine):
+        t0 = time.perf_counter()
+        runs = engine.execute(requests, channels=CHANNELS)
+        return runs, time.perf_counter() - t0
+
+    serial, cold_serial = timed(CampaignEngine(workers=0))
+    with CampaignEngine(workers=4) as engine:
+        parallel, cold_parallel = timed(engine)
     cold_engine = CampaignEngine(workers=0, cache=tmp_path / "cache")
-    t0 = time.perf_counter()
-    populated = generate_campaign(
-        setup, attacks=attacks, engine=cold_engine, **CAMPAIGN_KW
-    )
-    cold_cached = time.perf_counter() - t0
+    populated, cold_cached = timed(cold_engine)
 
     # The warm pass is additionally traced so the record carries the
     # engine's span/counter snapshot next to its timing.
@@ -84,12 +76,10 @@ def test_engine_cache_and_parallel_speedup(tmp_path):
     obs.enable()
     t0 = time.perf_counter()
     try:
-        warm = generate_campaign(
-            setup, attacks=attacks, engine=warm_engine, **CAMPAIGN_KW
-        )
+        warm = warm_engine.execute(requests, channels=CHANNELS)
         # Warm hits are memmaps: read every sample once, so the timing
         # covers payload IO rather than metadata opens alone.
-        for run in _flat_runs(warm):
+        for run in warm:
             for signal in run.signals.values():
                 np.asarray(signal.data).sum()
     finally:

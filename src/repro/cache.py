@@ -31,6 +31,7 @@ the ``REPRO_CACHE_DIR`` environment variable, and (only if asked via
 from __future__ import annotations
 
 import dataclasses
+import errno
 import hashlib
 import itertools
 import json
@@ -163,6 +164,11 @@ def default_cache_dir() -> Path:
 #: missing members, and malformed npy headers all behave like a miss.
 _CORRUPT_ENTRY_ERRORS = (OSError, KeyError, ValueError, zipfile.BadZipFile)
 
+#: ``OSError`` numbers that mean the *process* ran out of a resource (each
+#: memmap holds its own file descriptor), not that the entry is damaged:
+#: these propagate and the entry stays on disk.
+_RESOURCE_ERRNOS = frozenset({errno.EMFILE, errno.ENFILE, errno.ENOMEM})
+
 #: Per-process counter giving every ``put`` a distinct tmp name.  Combined
 #: with the pid, two writers publishing the same key can never share a tmp
 #: file, so neither can replace a half-written archive into place.
@@ -229,7 +235,9 @@ class RunCache:
             return None
         try:
             payload = loader(path)
-        except _CORRUPT_ENTRY_ERRORS:
+        except _CORRUPT_ENTRY_ERRORS as exc:
+            if isinstance(exc, OSError) and exc.errno in _RESOURCE_ERRNOS:
+                raise
             # A truncated/corrupt entry behaves like a miss and is removed
             # so the slot repopulates cleanly.
             path.unlink(missing_ok=True)

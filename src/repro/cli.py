@@ -174,108 +174,87 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     from .core import NsyncIds
-    from .io import save_dwm_params, save_signal, save_thresholds
-    from .sensors import default_daq
-    from .printer import simulate_print
+    from .eval import generate_campaign
+    from .serve.model import ServeModel
     from .sync import DwmSynchronizer
 
     setup = _setup_for(args.printer, args.height)
-    job = setup.job()
-    daq = default_daq()
-
-    def acc(seed: int):
-        trace = simulate_print(job.program, setup.machine, setup.noise, seed=seed)
-        return daq.acquire(
-            trace, np.random.default_rng(seed), channels=[args.channel]
-        )[args.channel]
-
+    ch = args.channel
     print(f"recording reference + {args.runs} benign training runs "
-          f"({args.channel}, {args.printer})...")
-    reference = acc(args.seed)
+          f"({ch}, {args.printer})...")
+    campaign = generate_campaign(
+        setup, channels=(ch,), n_train=args.runs, n_benign_test=0,
+        attacks=(), seed=args.seed,
+    )
+    reference = campaign.reference.signals[ch]
     ids = NsyncIds(reference, DwmSynchronizer(setup.dwm_params))
-    ids.fit([acc(args.seed + 1 + k) for k in range(args.runs)], r=args.r)
-
-    out = Path(args.output)
-    out.mkdir(parents=True, exist_ok=True)
-    save_signal(reference, out / "reference.npz")
-    save_thresholds(ids.thresholds, out / "thresholds.json")
-    save_dwm_params(setup.dwm_params, out / "dwm_params.json")
-    print(f"model written to {out}/ "
-          f"(c_c={ids.thresholds.c_c:.1f}, h_c={ids.thresholds.h_c:.1f}, "
-          f"v_c={ids.thresholds.v_c:.3f}, d_c={ids.thresholds.d_c:.1f})")
+    t = ids.fit((run.signals[ch] for run in campaign.training), r=args.r)
+    out = ServeModel(reference, setup.dwm_params, t).save(args.output)
+    print(f"model written to {out}/ (c_c={t.c_c:.1f}, h_c={t.h_c:.1f}, "
+          f"v_c={t.v_c:.3f}, d_c={t.d_c:.1f})")
     return 0
 
 
 def cmd_detect(args: argparse.Namespace) -> int:
     import json
     import math
+    from dataclasses import asdict
 
-    from .core import NsyncIds
-    from .io import load_dwm_params, load_signal, load_thresholds
-    from .sync import DwmSynchronizer
+    from . import obs
+    from .io import load_signal
+    from .serve.model import ServeModel
+    from .serve.pacing import Pacer
 
-    model = Path(args.model)
-    ids = NsyncIds(
-        load_signal(model / "reference.npz"),
-        DwmSynchronizer(load_dwm_params(model / "dwm_params.json")),
-    )
-    ids.thresholds = load_thresholds(model / "thresholds.json")
-
+    model = ServeModel.from_dir(args.model)
     observed = load_signal(args.signal)
-    if args.stream:
-        from . import obs
-
-        telemetry_on = (
-            args.telemetry_port is not None or args.telemetry_snapshot
+    if observed.sample_rate != model.reference.sample_rate:
+        raise SystemExit(
+            f"repro detect: sample rates differ: signal "
+            f"{observed.sample_rate} Hz, model reference "
+            f"{model.reference.sample_rate} Hz"
         )
-        exporter = None
-        if args.telemetry_port is not None:
-            server = obs.serve_telemetry(args.telemetry_port)
-            print(
-                f"telemetry endpoint at {server.url}/metrics "
-                f"(snapshot: {server.url}/snapshot.json)",
-                file=sys.stderr,
-            )
-        if args.telemetry_snapshot:
-            obs.enable()
-            exporter = obs.start_snapshot_exporter(
-                args.telemetry_snapshot, interval_s=args.telemetry_interval
-            )
-        stream_id = args.stream_id
-        if stream_id is None and telemetry_on:
-            stream_id = Path(args.signal).stem
-        # Same engine as the batch call, driven chunk by chunk.
-        engine = ids.engine(stream_id=stream_id)
+    telemetry_on = args.telemetry_port is not None or args.telemetry_snapshot
+    exporter = None
+    if args.telemetry_port is not None:
+        server = obs.serve_telemetry(args.telemetry_port)
+        print(
+            f"telemetry endpoint at {server.url}/metrics "
+            f"(snapshot: {server.url}/snapshot.json)",
+            file=sys.stderr,
+        )
+    if args.telemetry_snapshot:
+        obs.enable()
+        exporter = obs.start_snapshot_exporter(
+            args.telemetry_snapshot, interval_s=args.telemetry_interval
+        )
+    stream_id = args.stream_id
+    if stream_id is None and telemetry_on:
+        stream_id = Path(args.signal).stem
+    engine = model.build_engine(stream_id=stream_id)
+    # One push of the whole signal, or --chunk-s chunks as a live DAQ
+    # delivers them: the same verdict by chunking invariance.
+    hop = max(1, observed.n_samples)
+    if args.stream:
         hop = max(1, int(round(args.chunk_s * observed.sample_rate)))
-        # Deadline-based pacing: chunk k is released at start + k/pace
-        # chunk-durations on the monotonic clock, so engine processing
-        # time is absorbed instead of accumulating as replay drift.
-        from .serve.pacing import Pacer
-
-        pacer = Pacer(args.chunk_s / args.pace if args.pace > 0 else 0.0)
-        for start in range(0, observed.n_samples, hop):
-            engine.push(observed.data[start : start + hop])
-            pacer.wait()
-        verdict = engine.finalize().detection
-        assert verdict is not None
-        if exporter is not None:
-            exporter.stop()
-            print(
-                f"telemetry snapshot written to {exporter.path}",
-                file=sys.stderr,
-            )
-    else:
-        verdict = ids.detect(observed)
+    # Deadline-based pacing: chunk k is released at start + k/pace
+    # chunk-durations on the monotonic clock, so engine processing time
+    # is absorbed instead of accumulating as replay drift.
+    pacing = args.stream and args.pace > 0
+    pacer = Pacer(args.chunk_s / args.pace if pacing else 0.0)
+    for start in range(0, observed.n_samples, hop):
+        engine.push(observed.data[start : start + hop])
+        pacer.wait()
+    verdict = engine.finalize().detection
+    assert verdict is not None
+    if exporter is not None:
+        exporter.stop()
+        print(f"telemetry snapshot written to {exporter.path}", file=sys.stderr)
     if args.json:
-        t = ids.thresholds
         doc = verdict.to_dict()
         # inf (= sub-module disabled) is not valid strict JSON.
         doc["thresholds"] = {
             name: (v if math.isfinite(v) else None)
-            for name, v in (
-                ("c_c", t.c_c), ("h_c", t.h_c),
-                ("v_c", t.v_c), ("d_c", t.d_c),
-            )
+            for name, v in asdict(model.thresholds).items()
         }
         print(json.dumps(doc, indent=2))
     elif verdict.is_intrusion:
@@ -768,26 +747,29 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from .serve import FleetServer
     from .serve.model import demo_model
 
-    model_dir = Path(args.model)
-    if not (model_dir / "reference.npz").exists():
-        if args.demo:
-            demo_model(n_samples=args.demo_samples).save(model_dir)
-            print(f"demo model written to {model_dir}/", file=sys.stderr)
-        else:
+    def open_server() -> FleetServer:
+        return FleetServer(
+            args.model,
+            checkpoint_dir=args.checkpoint_dir,
+            shards=args.shards,
+            host=args.host,
+            port=args.port,
+            unix_path=args.unix,
+            checkpoint_interval_s=args.checkpoint_interval,
+            metrics_port=args.metrics_port,
+        )
+
+    try:
+        server = open_server()
+    except FileNotFoundError as exc:
+        if not args.demo:
             raise SystemExit(
-                f"repro serve: {model_dir} has no reference.npz; train a "
-                "model first ('repro train') or pass --demo"
-            )
-    server = FleetServer(
-        model_dir,
-        checkpoint_dir=args.checkpoint_dir,
-        shards=args.shards,
-        host=args.host,
-        port=args.port,
-        unix_path=args.unix,
-        checkpoint_interval_s=args.checkpoint_interval,
-        metrics_port=args.metrics_port,
-    )
+                f"repro serve: {exc}; train a model first ('repro train') "
+                "or pass --demo"
+            ) from None
+        demo_model(n_samples=args.demo_samples).save(args.model)
+        print(f"demo model written to {args.model}/", file=sys.stderr)
+        server = open_server()
 
     async def _run() -> None:
         await server.start()

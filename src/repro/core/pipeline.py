@@ -78,6 +78,9 @@ class NsyncIds:
         self.filter_window = filter_window
         self.policy = policy if policy is not None else SanitizePolicy()
         self.thresholds: Optional[Thresholds] = None
+        #: The trainer the last :meth:`fit` filled: its per-run maxima give
+        #: the thresholds at any other OCC margin (``trainer.thresholds(r)``).
+        self.trainer: Optional[OneClassTrainer] = None
         self._metric = metric
 
     # ------------------------------------------------------------------
@@ -144,6 +147,7 @@ class NsyncIds:
                     "learn thresholds from a faulty channel"
                 )
             trainer.add_run(analysis.features)
+        self.trainer = trainer
         self.thresholds = trainer.thresholds()
         return self.thresholds
 

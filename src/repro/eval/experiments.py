@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
@@ -35,8 +35,6 @@ from ..baselines.belikovetsky import BelikovetskyIds
 from ..baselines.gao import GaoIds
 from ..baselines.gatlin import GatlinIds
 from ..baselines.moore import MooreIds
-from ..core.discriminator import DetectionFeatures, Thresholds
-from ..core.occ import OneClassTrainer
 from ..core.pipeline import NsyncIds
 from ..signals.signal import Signal
 from ..signals.spectrogram import scaled_spectrogram_config, spectrogram
@@ -62,6 +60,8 @@ __all__ = [
 
 RAW = "Raw"
 SPECTRO = "Spectro."
+
+T = TypeVar("T")
 
 
 def transform_signal(signal: Signal, channel: str, transform: str) -> Signal:
@@ -90,21 +90,46 @@ class IdsResult:
         return self.overall.as_pair()
 
 
-def _submodule_flags(
-    features: DetectionFeatures, thresholds: Thresholds
-) -> Dict[str, bool]:
-    """Would each sub-module fire *alone* on these features?"""
-    c = bool(features.c_disp.size and features.c_disp.max() > thresholds.c_c)
-    h = bool(
-        features.h_dist_filtered.size
-        and features.h_dist_filtered.max() > thresholds.h_c
-    )
-    v = bool(
-        features.v_dist_filtered.size
-        and features.v_dist_filtered.max() > thresholds.v_c
-    )
-    d = features.duration_mismatch > thresholds.d_c
-    return {"c_disp": c, "h_dist": h, "v_dist": v, "duration": d}
+#: The NSYNC sub-modules every IDS table reports, in column order.
+_SUBMODULES = ("c_disp", "h_dist", "v_dist", "duration")
+
+
+def _split_runs(
+    campaign: Campaign, prepare: Callable[[ProcessRun], T]
+) -> Tuple[T, Iterator[T], Iterator[ProcessRun]]:
+    """Split one :meth:`Campaign.iter_runs` pass into its three roles.
+
+    Returns ``(reference, training, tests)``: the prepared reference run,
+    an iterator of prepared training runs, and an iterator of the test
+    runs — the latter two over the same ordered stream (reference ->
+    training -> tests).  ``training`` stops at the first test run;
+    ``tests`` yields that run and the rest, draining any training runs
+    left unread first.  Only the run being evaluated is ever resident.
+    """
+    stream = campaign.iter_runs()
+    first = next(stream, None)
+    if first is None or first[0] != "reference":
+        raise ValueError("campaign stream yielded runs before the reference")
+    reference = prepare(first[1])
+    pending: List[ProcessRun] = []
+
+    def training() -> Iterator[T]:
+        for role, run in stream:
+            if role != "training":
+                pending.append(run)
+                return
+            yield prepare(run)
+
+    def tests() -> Iterator[ProcessRun]:
+        for _ in train:
+            pass
+        while pending:
+            yield pending.pop()
+        for _role, run in stream:
+            yield run
+
+    train = training()
+    return reference, train, tests()
 
 
 def nsync_results(
@@ -113,78 +138,41 @@ def nsync_results(
     transform: str = RAW,
     synchronizer: Optional[Synchronizer] = None,
     r: float = 0.3,
-    mode: str = "batch",
-    chunk_s: float = 0.25,
 ) -> IdsResult:
     """Evaluate NSYNC with the given synchronizer on one campaign cell.
 
     Default synchronizer: DWM with the campaign printer's Table IV
     parameters (Table VIII); pass ``FastDtwSynchronizer()`` for Table IX.
 
-    ``mode`` selects how the unified detection core is fed: ``"batch"``
-    hands each signal over in one call, ``"streaming"`` pushes ``chunk_s``
-    sized chunks as a live DAQ would.  Both run the same
-    :class:`~repro.core.engine.DetectionEngine`, so the scores are
-    identical — the streaming mode exists to evaluate (and regression-test)
-    the deployment path itself.
+    This is the shipped detector end to end: :meth:`NsyncIds.fit` learns
+    the thresholds from the training runs (rejecting a training run that
+    trips SENSOR_FAULT) and :meth:`NsyncIds.detect` scores every test run.
+    A run counts as flagged when its verdict is an intrusion; the
+    sub-module columns come from :meth:`Detection.fired_submodules`.
 
     The evaluation is a single pass over :meth:`Campaign.iter_runs` folded
-    through an :class:`~repro.eval.metrics.IdsAccumulator`: the stream
-    yields the reference first and finishes training before the first test
-    run, so at no point is more than one run's signal resident.  On a lazy
-    (plan-backed) campaign this evaluates arbitrarily large campaigns in
-    O(1) run memory; on an eager campaign the verdicts — confusion counts
-    are commutative sums — are float-for-float what the materialized
-    implementation produced.
+    through an :class:`~repro.eval.metrics.IdsAccumulator`, so at no point
+    is more than one run's signal resident.
     """
     if synchronizer is None:
         synchronizer = DwmSynchronizer(campaign.setup.dwm_params)
-    if mode not in ("batch", "streaming"):
-        raise ValueError(f"mode must be 'batch' or 'streaming', got {mode!r}")
 
     def signal_of(run: ProcessRun) -> Signal:
         return transform_signal(run.signals[channel], channel, transform)
 
-    ids: Optional[NsyncIds] = None
-
-    def features_of(signal: Signal):
-        if mode == "batch":
-            return ids.analyze(signal).features
-        engine = ids.engine(armed=False)
-        hop = max(1, int(round(chunk_s * signal.sample_rate)))
-        for start in range(0, signal.n_samples, hop):
-            engine.push(signal.data[start : start + hop])
-        return engine.finalize().features
-
-    trainer = OneClassTrainer(r=r)
-    thresholds: Optional[Thresholds] = None
-    acc = IdsAccumulator(
-        submodule_names=("c_disp", "h_dist", "v_dist", "duration")
-    )
-
-    for role, run in campaign.iter_runs():
-        if role == "reference":
-            ids = NsyncIds(signal_of(run), synchronizer)
-            continue
-        if ids is None:
-            raise ValueError(
-                "campaign stream yielded runs before the reference"
-            )
-        if role == "training":
-            trainer.add_run(features_of(signal_of(run)))
-            continue
-        if thresholds is None:
-            # The stream is ordered reference -> training -> tests, so the
-            # first test run marks the training set complete.
-            thresholds = trainer.thresholds()
-            ids.thresholds = thresholds
-        features = features_of(signal_of(run))
+    reference, training, tests = _split_runs(campaign, signal_of)
+    ids = NsyncIds(reference, synchronizer)
+    ids.fit(training, r=r)
+    acc = IdsAccumulator(submodule_names=_SUBMODULES)
+    for run in tests:
+        verdict = ids.detect(signal_of(run))
+        fired = verdict.fired_submodules()
         acc.record(
             run.label,
             run.is_malicious,
-            _submodule_flags(features, thresholds),
+            {name: name in fired for name in _SUBMODULES},
+            fired=verdict.is_intrusion,
         )
-
     return IdsResult(
         overall=acc.overall,
         submodules=acc.submodules,
@@ -214,9 +202,8 @@ def baseline_results(
 
     Consumes the campaign as a single run stream.  The ``BaselineIds.fit``
     API takes the training recordings as a batch, so the (single-channel)
-    training recordings are buffered until the first test run arrives and
-    released immediately after fitting — test runs then stream through one
-    at a time.
+    training recordings are buffered for the fit and released after it —
+    test runs then stream through one at a time.
     """
 
     def recording_of(run: ProcessRun) -> ProcessRecording:
@@ -225,30 +212,10 @@ def baseline_results(
             layer_times=run.layer_times,
         )
 
-    reference: Optional[ProcessRecording] = None
-    training: List[ProcessRecording] = []
-    fitted = False
+    reference, training, tests = _split_runs(campaign, recording_of)
+    ids.fit(reference, list(training))
     acc = IdsAccumulator()
-
-    def fit() -> None:
-        nonlocal fitted, training
-        ids.fit(reference, training)
-        fitted = True
-        training = []
-
-    for role, run in campaign.iter_runs():
-        if role == "reference":
-            reference = recording_of(run)
-            continue
-        if reference is None:
-            raise ValueError(
-                "campaign stream yielded runs before the reference"
-            )
-        if role == "training":
-            training.append(recording_of(run))
-            continue
-        if not fitted:
-            fit()
+    for run in tests:
         detection = ids.detect(recording_of(run))
         acc.record(
             run.label,
@@ -256,8 +223,6 @@ def baseline_results(
             dict(detection.submodules),
             fired=detection.is_intrusion,
         )
-    if not fitted and reference is not None:
-        fit()  # no test runs: leave the caller's IDS fitted regardless
 
     return IdsResult(
         overall=acc.overall,

@@ -13,17 +13,17 @@ done once, and each ``r`` only re-applies thresholds to cached features.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.occ import OneClassTrainer
+from ..core.discriminator import Discriminator
 from ..core.pipeline import NsyncIds
 from ..signals.signal import Signal
 from ..sync.base import Synchronizer
 from ..sync.dwm import DwmSynchronizer
 from .dataset import Campaign, ProcessRun
-from .experiments import RAW, _submodule_flags, transform_signal
+from .experiments import RAW, _split_runs, transform_signal
 from .metrics import RocAccumulator
 
 __all__ = ["RocPoint", "RocCurve", "roc_sweep", "auc"]
@@ -78,11 +78,14 @@ def roc_sweep(
 ) -> RocCurve:
     """Sweep the OCC margin over one campaign cell.
 
-    The campaign is consumed as a single run stream: features are computed
-    once per run, every ``r`` value re-derives its thresholds from the
-    finished training maxima, and per-``r`` verdicts fold into a
-    :class:`~repro.eval.metrics.RocAccumulator` — no run or feature list is
-    retained, so the sweep works unchanged over a lazy campaign.
+    The campaign is consumed as a single run stream.  One
+    :meth:`NsyncIds.fit` pass learns the training maxima (rejecting a
+    training run that trips SENSOR_FAULT); every ``r`` value re-derives
+    its thresholds from the fitted ``ids.trainer``, and each test run's
+    features are computed once and judged by one
+    :class:`~repro.core.discriminator.Discriminator` per ``r``.  Per-``r``
+    verdicts fold into a :class:`~repro.eval.metrics.RocAccumulator`, so
+    no run or feature list is retained.
     """
     if synchronizer is None:
         synchronizer = DwmSynchronizer(campaign.setup.dwm_params)
@@ -90,27 +93,22 @@ def roc_sweep(
     def signal_of(run: ProcessRun) -> Signal:
         return transform_signal(run.signals[channel], channel, transform)
 
-    ids: Optional[NsyncIds] = None
-    trainer = OneClassTrainer(r=0.0)
+    reference, training, tests = _split_runs(campaign, signal_of)
+    ids = NsyncIds(reference, synchronizer)
+    ids.fit(training, r=0.0)
+    assert ids.trainer is not None
     acc = RocAccumulator(r_values)
-    thresholds_by_r: Optional[Dict[float, object]] = None
-    for role, run in campaign.iter_runs():
-        if role == "reference":
-            ids = NsyncIds(signal_of(run), synchronizer)
-            continue
-        if ids is None:
-            raise ValueError("campaign stream yielded runs before the reference")
-        if role == "training":
-            trainer.add_run(ids.analyze(signal_of(run)).features)
-            continue
-        if thresholds_by_r is None:
-            thresholds_by_r = {r: trainer.thresholds(r=r) for r in acc.r_values}
+    discriminators = {
+        r: Discriminator(ids.trainer.thresholds(r=r), ids.filter_window)
+        for r in acc.r_values
+    }
+    for run in tests:
         features = ids.analyze(signal_of(run)).features
         acc.record(
             run.is_malicious,
             {
-                r: any(_submodule_flags(features, th).values())
-                for r, th in thresholds_by_r.items()
+                r: d.detect_features(features).is_intrusion
+                for r, d in discriminators.items()
             },
         )
 

@@ -31,8 +31,8 @@ import numpy as np
 from ..core.engine import DetectionEngine
 from ..core.health import SENSOR_FAULT, SanitizePolicy
 from ..core.pipeline import NsyncIds
-from ..eval.dataset import PrinterSetup, default_setup
-from ..eval.engine import CampaignEngine, RunRequest
+from ..eval.dataset import PrinterSetup, campaign_requests, default_setup
+from ..eval.engine import CampaignEngine
 from ..eval.reporting import format_table
 from ..signals.signal import Signal
 from ..sync.dwm import DwmSynchronizer
@@ -314,10 +314,11 @@ def run_fault_campaign(
 ) -> FaultCampaignResult:
     """Simulate, train, and replay the fault matrix against the detectors.
 
-    Runs are produced through the :class:`~repro.eval.engine.CampaignEngine`
-    (so a cache-backed engine amortizes the simulations across invocations)
-    with the same deterministic seed-stream convention as
-    :func:`~repro.eval.dataset.generate_campaign`.
+    The reference, ``n_train`` training runs and one probe run are the
+    :func:`~repro.eval.dataset.campaign_requests` of a campaign without
+    attacks, produced through the
+    :class:`~repro.eval.engine.CampaignEngine` (so a cache-backed engine
+    amortizes the simulations across invocations).
     """
     for name in detectors:
         if name not in ("batch", "streaming"):
@@ -325,17 +326,9 @@ def run_fault_campaign(
     setup = setup if setup is not None else default_setup()
     engine = engine if engine is not None else CampaignEngine()
     policy = policy if policy is not None else SanitizePolicy()
-    job = setup.job()
-
-    base = seed * 1_000_003
-    requests = [
-        RunRequest(setup, job, "reference", False, base)
-    ]
-    requests += [
-        RunRequest(setup, job, f"train{k}", False, base + 1 + k)
-        for k in range(n_train)
-    ]
-    requests.append(RunRequest(setup, job, "probe", False, base + 1 + n_train))
+    requests, _ = campaign_requests(
+        setup, n_train=n_train, n_benign_test=1, attacks=(), seed=seed
+    )
     runs = engine.execute(requests, channels=(channel,))
     reference = runs[0].signals[channel]
     training = [run.signals[channel] for run in runs[1 : 1 + n_train]]

@@ -2,11 +2,12 @@
 
 A deployed NSYNC fleet learns its reference signal, DWM parameters, and
 discriminator thresholds once (``repro train``) and then serves many
-prints against them.  :class:`ServeModel` is that bundle as a directory —
+prints against them (``repro serve``, ``repro detect``).
+:class:`ServeModel` is that bundle as a directory —
 
 * ``reference.npz`` — the reference side-channel signal (``repro.io``
   signal format),
-* ``dwm.json`` — :class:`~repro.sync.dwm.DwmParams`,
+* ``dwm_params.json`` — :class:`~repro.sync.dwm.DwmParams`,
 * ``thresholds.json`` — :class:`~repro.core.discriminator.Thresholds`,
 * ``serve.json`` — metric + filter window (the remaining engine knobs),
 

@@ -8,6 +8,7 @@ slice of the paper's gear, one or two side channels).
 from __future__ import annotations
 
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -100,6 +101,23 @@ def mini_campaign() -> Campaign:
         n_attack_runs=1,
         seed=42,
     )
+
+
+@pytest.fixture(scope="session")
+def dark_training_campaign(mini_campaign) -> Campaign:
+    """The mini campaign with a 2 s dark stretch in its first training run.
+
+    A channel repeating one value for longer than
+    ``SanitizePolicy.max_dark_s`` (1 s) trips SENSOR_FAULT.
+    """
+    runs = list(mini_campaign.runs)
+    run = runs[1]
+    signal = run.signals["ACC"]
+    data = np.array(signal.data)
+    n_dark = int(2.0 * signal.sample_rate)
+    data[100 : 100 + n_dark] = data[100]
+    runs[1] = replace(run, signals={"ACC": Signal(data, signal.sample_rate)})
+    return replace(mini_campaign, runs=tuple(runs))
 
 
 @pytest.fixture()

@@ -35,6 +35,11 @@ class TestRocSweep:
             assert 0.0 <= p.fpr <= 1.0
             assert 0.0 <= p.tpr <= 1.0
 
+    def test_sensor_fault_training_run_rejected(self, dark_training_campaign):
+        """Training goes through NsyncIds.fit, which refuses a dark run."""
+        with pytest.raises(ValueError, match="training run 0 failed"):
+            roc_sweep(dark_training_campaign, "ACC", "Raw")
+
 
 class TestAuc:
     def test_perfect_detector(self):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import multiprocessing
 import os
 import struct
@@ -298,6 +299,30 @@ class TestGetLazy:
         assert cache.get_lazy(key) is None
         assert not path.exists()
         assert cache.stats == {"hits": 0, "misses": 1}
+
+    @pytest.mark.parametrize(
+        "code",
+        [errno.EMFILE, errno.ENFILE, errno.ENOMEM],
+        ids=["EMFILE", "ENFILE", "ENOMEM"],
+    )
+    def test_resource_exhaustion_keeps_entry(self, tmp_path, monkeypatch, code):
+        """Running out of fds or memory is not corruption: the error
+        propagates and the healthy entry stays on disk."""
+        import repro.io
+
+        cache = RunCache(tmp_path)
+        key = "ce" + "1" * 62
+        path = cache.put(key, {"ACC": Signal(np.ones((20, 3)), 400.0)}, (), 1.0)
+
+        def exhausted(path):
+            raise OSError(code, os.strerror(code))
+
+        monkeypatch.setattr(repro.io, "LazyRunPayload", exhausted)
+        with pytest.raises(OSError) as info:
+            cache.get_lazy(key)
+        assert info.value.errno == code
+        assert path.exists()
+        assert cache.stats == {"hits": 0, "misses": 0}
 
 
 def _tear_npy_magic(path, member="ACC::data.npy"):

@@ -85,6 +85,30 @@ class TestTrainDetectRoundtrip:
         assert (model / "thresholds.json").exists()
         assert (model / "dwm_params.json").exists()
 
+    def test_model_is_a_serve_model(self, workspace):
+        """train writes the one model directory layout serve loads."""
+        from repro.eval import default_setup
+        from repro.serve.model import ServeModel
+
+        model = workspace / "model"
+        assert (model / "serve.json").exists()
+        loaded = ServeModel.from_dir(model)
+        assert loaded.metric == "correlation"
+        assert loaded.filter_window == 3
+        assert loaded.params == default_setup("UM3", 0.4).dwm_params
+
+    def test_stream_rejects_sample_rate_mismatch(self, workspace, tmp_path):
+        """--stream checks the rate like the one-push path does."""
+        from repro.io import load_signal, save_signal
+        from repro.signals import Signal
+
+        signal = load_signal(workspace / "benign" / "ACC.npz")
+        wrong = tmp_path / "wrong_rate.npz"
+        save_signal(Signal(signal.data, 2 * signal.sample_rate), wrong)
+        for extra in ([], ["--stream", "--chunk-s", "0.2"]):
+            with pytest.raises(SystemExit, match="repro detect: sample rates"):
+                main(["detect", *extra, str(workspace / "model"), str(wrong)])
+
     def test_benign_passes(self, workspace, capsys):
         code = main(
             ["detect", str(workspace / "model"),
@@ -304,7 +328,7 @@ class TestForensicsWorkflow:
         doc = json.loads(path.read_text())
         assert doc["traceEvents"]
         names = {e["name"] for e in doc["traceEvents"]}
-        assert any("repro.core.pipeline" in n for n in names)
+        assert any("repro.core.engine" in n for n in names)
         assert all(e["ph"] == "X" for e in doc["traceEvents"])
 
     def test_explain_renders_localizing_report(self, workspace, tmp_path):
